@@ -36,7 +36,7 @@ type engine_entry = {
   pruned_ms : float option;  (** [None] on cegar-only rows (enumeration infeasible) *)
   sat_ms : float option;  (** warm SAT-backed solve (compiled CNF, incremental re-solve) *)
   cegar_ms : float option;  (** warm dueling-solver (CEGAR) solve *)
-  cegar_iters : int option;  (** refinement rounds accumulated over the timed solves *)
+  cegar_iters : int option;  (** refinement rounds of one (the first) Σ2 solve; [None] at ℓ=1 *)
   agree : bool option;  (** verdict agreement across every engine that ran *)
 }
 
@@ -73,7 +73,7 @@ type certification_entry = {
   c_verdict : string;  (** "optimum" / "rejected" / "unsupported" *)
   c_bits : int option;  (** searched optimum, when one exists *)
   c_declared : int option;  (** the spec's declared budget on the instance *)
-  c_agree : bool;  (** [`Sat] and [`Cegar] agreed at the boundary *)
+  c_agree : bool;  (** the compiled and pruned engines agreed at the boundary *)
 }
 
 let certification_entries : certification_entry list ref = ref []
@@ -1048,7 +1048,7 @@ let exp_lcl () =
 (* Engine comparison: exhaustive enumeration vs locality-pruned search. *)
 
 let exp_engine () =
-  section "Game engines: exhaustive vs pruned vs SAT backend vs CEGAR duel";
+  section "Game engines: exhaustive vs pruned vs compiled (sat = cegar: leaf at l=1, duel at l>=2)";
   row "%-18s %-6s %-14s %-12s %-12s %-12s %-9s %-7s\n" "game" "n" "exhaustive" "pruned" "sat"
     "cegar" "pr/cegar" "agree";
   let record e = engine_entries := e :: !engine_entries in
@@ -1070,12 +1070,11 @@ let exp_engine () =
     | Some (_, ms) -> Printf.sprintf "%9.3fms " ms
     | None -> Printf.sprintf "%11s " "--"
   in
-  let bench_case game ~nodes ?exhaustive ?pruned ?sat ?cegar ?(cegar_iters = fun () -> None) () =
+  let bench_case game ~nodes ?exhaustive ?pruned ?sat ?cegar ?cegar_iters () =
     let ex = Option.map time_once exhaustive in
     let pr = Option.map (fun f -> warm_avg f) pruned in
     let st = Option.map (fun f -> warm_avg f) sat in
     let cg = Option.map (fun f -> warm_avg f) cegar in
-    let iters = cegar_iters () in
     let agree =
       match List.filter_map Fun.id [ Option.map fst ex; Option.map fst pr; Option.map fst st; Option.map fst cg ] with
       | [] -> None
@@ -1102,7 +1101,7 @@ let exp_engine () =
         pruned_ms = Option.map snd pr;
         sat_ms = Option.map snd st;
         cegar_ms = Option.map snd cg;
-        cegar_iters = iters;
+        cegar_iters;
         agree;
       }
   in
@@ -1112,16 +1111,10 @@ let exp_engine () =
   let game_case game g ~arbiter ~universes ~exhaustive =
     let ids = Identifiers.make_global g in
     let engine e () = Game.sigma_accepts ~engine:e arbiter g ~ids ~universes in
-    (* ℓ=1 duels route through the mode-pinned proposer too, so their
-       refinement counts are recorded like the Σ2 rows' *)
-    let cegar_iters () =
-      Option.map
-        (fun d -> (Game_cegar.stats d).Game_cegar.iterations)
-        (Game_cegar.instance ~eve_first:true arbiter g ~ids ~universes)
-    in
+    (* ℓ=1 is one leaf solve, no duel: no refinement rounds to report *)
     bench_case game ~nodes:(Graph.card g)
       ?exhaustive:(if exhaustive then Some (engine `Exhaustive) else None)
-      ~pruned:(engine `Pruned) ~sat:(engine `Sat) ~cegar:(engine `Cegar) ~cegar_iters ()
+      ~pruned:(engine `Pruned) ~sat:(engine `Sat) ~cegar:(engine `Cegar) ()
   in
   (* a Σ1 game whose arbiter and universes come out of the Fagin
      compiler rather than a hand-written verifier *)
@@ -1135,24 +1128,29 @@ let exp_engine () =
       ~pruned:(engine `Pruned) ~sat:(engine `Sat) ()
   in
   (* Σ2: the robust-2col probe — every Eve claim carries a full ∀-block,
-     so enumerating engines pay 2^n per claim where the CEGAR duel pays
-     one refutation query. Rows without pruned/sat timings are games
-     only the duel completes. *)
+     so enumerating engines pay 2^n per claim where the compiled
+     engine's duel pays one refutation query. Rows without pruned
+     timings are games only the duel completes. *)
   let robust = Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier in
   let u22 = [ Candidates.color_universe 2; Candidates.color_universe 2 ] in
-  let sigma2_case game g ~exhaustive ~with_pruned ~with_sat =
+  let sigma2_case game g ~exhaustive ~with_pruned =
     let ids = Identifiers.make_global g in
     let engine e () = Game.sigma_accepts ~engine:e robust g ~ids ~universes:u22 in
-    let cegar_iters () =
+    (* refinement rounds of one solve: the duel's cumulative counter
+       read around the first (cold) solve, before any timed re-solve *)
+    let cegar_iters =
       Option.map
-        (fun d -> (Game_cegar.stats d).Game_cegar.iterations)
+        (fun d ->
+          let iterations () = (Game_cegar.stats d).Game_cegar.iterations in
+          let before = iterations () in
+          ignore (Game_cegar.value d);
+          iterations () - before)
         (Game_cegar.instance ~eve_first:true robust g ~ids ~universes:u22)
     in
     bench_case game ~nodes:(Graph.card g)
       ?exhaustive:(if exhaustive then Some (engine `Exhaustive) else None)
       ?pruned:(if with_pruned then Some (engine `Pruned) else None)
-      ?sat:(if with_sat then Some (engine `Sat) else None)
-      ~cegar:(engine `Cegar) ~cegar_iters ()
+      ~sat:(engine `Sat) ~cegar:(engine `Cegar) ?cegar_iters ()
   in
   game_case "3col-C5" (Generators.cycle 5) ~arbiter:v3 ~universes:u3 ~exhaustive:true;
   game_case "2col-C9" (Generators.cycle 9) ~arbiter:v2 ~universes:u2 ~exhaustive:true;
@@ -1164,33 +1162,26 @@ let exp_engine () =
     game_case "2col-C21" (Generators.cycle 21) ~arbiter:v2 ~universes:u2 ~exhaustive:false;
     game_case "3col-C12" (Generators.cycle 12) ~arbiter:v3 ~universes:u3 ~exhaustive:false
   end;
-  (* the SAT engine still enumerates the ∃-block (2^n leaf solves), so
-     it is only timed at C9; pruned refutes improper claims fast and
-     scales to C15 *)
-  sigma2_case "sigma2-2col-C9" (Generators.cycle 9) ~exhaustive:(not !smoke) ~with_pruned:true
-    ~with_sat:true;
+  (* pruned refutes improper claims fast and scales to C15 *)
+  sigma2_case "sigma2-2col-C9" (Generators.cycle 9) ~exhaustive:(not !smoke) ~with_pruned:true;
   if not !smoke then begin
-    sigma2_case "sigma2-2col-C13" (Generators.cycle 13) ~exhaustive:false ~with_pruned:true
-      ~with_sat:false;
+    sigma2_case "sigma2-2col-C13" (Generators.cycle 13) ~exhaustive:false ~with_pruned:true;
     sigma2_case "sigma2-2col-C15" (Generators.cycle 15) ~exhaustive:false ~with_pruned:true
-      ~with_sat:false
   end;
   (* the duel's headroom: Σ2 instances 5-6x larger than anything the
      enumerating engines finish — 2^91 outer claims are unreachable,
      the proposer answers them with a handful of solver calls *)
-  sigma2_case "sigma2-2col-C91" (Generators.cycle 91) ~exhaustive:false ~with_pruned:false
-    ~with_sat:false;
+  sigma2_case "sigma2-2col-C91" (Generators.cycle 91) ~exhaustive:false ~with_pruned:false;
   if not !smoke then
-    sigma2_case "sigma2-2col-C92" (Generators.cycle 92) ~exhaustive:false ~with_pruned:false
-      ~with_sat:false;
+    sigma2_case "sigma2-2col-C92" (Generators.cycle 92) ~exhaustive:false ~with_pruned:false;
   (* exhaustive here means |fragment universe|^9 full compiled-arbiter
      runs (~20s) — full runs only *)
   fagin_case "fagin-2col-C9" Graph_formulas.two_colorable (Generators.cycle 9)
     ~exhaustive:(not !smoke);
   row
     "Verdicts agree everywhere; pruning cuts |U|^n enumeration to ball-local backtracking,\n\
-     the compiled CNF answers warm re-queries by incremental assumption solves, and the\n\
-     CEGAR duel replaces whole quantifier blocks by counterexample-guided refinement.\n"
+     the compiled engine answers l=1 by one incremental leaf solve on its CNF, and l>=2 by\n\
+     a refinement duel instead of enumerating whole quantifier blocks.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Fault-hook overhead: the zero-overhead-when-off claim, measured.    *)

@@ -96,8 +96,8 @@ let fixtures =
       [ Array.init 5 (fun u -> Bitstring.of_int (u mod 2)); Array.init 5 (fun u -> Bitstring.of_int (u mod 2)) ] );
   ]
 
-let engines =
-  [ ("exhaustive", `Exhaustive); ("pruned", `Pruned); ("sat", `Sat); ("cegar", `Cegar) ]
+(* [`Cegar] is a synonym of [`Sat]: one compiled engine, listed once *)
+let engines = [ ("exhaustive", `Exhaustive); ("pruned", `Pruned); ("sat", `Sat) ]
 
 let check_no_instances () =
   List.iter

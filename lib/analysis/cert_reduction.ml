@@ -36,9 +36,9 @@ type check = {
 
 (* ---- cross-checking ------------------------------------------------ *)
 
-let check_instance ?engine red (iname, g) =
+let check_instance red (iname, g) =
   let side spec label g =
-    Optimum.search_graph ?engine ~name:spec.cs_name ~arbiter:spec.cs_arbiter
+    Optimum.search_graph ~name:spec.cs_name ~arbiter:spec.cs_arbiter
       ~universes:spec.cs_universes ~label g
   in
   let src = side red.cr_source (red.cr_name ^ ":" ^ iname) g in
@@ -79,7 +79,7 @@ let check_instance ?engine red (iname, g) =
       | Optimum.Rejected _, Optimum.Rejected _ ->
           finish true "both sides rejected: the reduction preserves the NO answer")
 
-let check ?engine red = List.map (check_instance ?engine red) red.cr_instances
+let check red = List.map (check_instance red) red.cr_instances
 
 (* ---- the shipped reductions ---------------------------------------- *)
 

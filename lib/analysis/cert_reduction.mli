@@ -53,7 +53,7 @@ type check = {
   ck_detail : string;
 }
 
-val check : ?engine:Lph_hierarchy.Game.engine -> t -> check list
+val check : t -> check list
 (** Apply the reduction to every probe instance, search both sides,
     and compare against the transfer function. Results are memoised
     through {!Optimum}'s cache, so repeated checks are cheap. *)

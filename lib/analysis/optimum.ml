@@ -154,23 +154,11 @@ let lower_bound_proof arbiter g ~ids ~universes ~eve ~budget =
       | `Unsat (core, assumed) ->
           Ok (Core { p_budget = budget; core; p_assumptions = assumed; p_cnf = Game_sat.cnf inst }))
 
-let engine_pair engine =
-  match Game.resolve engine with
-  | `Cegar -> (`Cegar, `Sat)
-  | `Sat | `Auto | `Exhaustive | `Pruned -> (`Sat, `Cegar)
-
-let engine_tag = function
-  | `Sat -> "sat"
-  | `Cegar -> "cegar"
-  | `Pruned -> "pruned"
-  | `Exhaustive -> "exhaustive"
-  | `Auto -> "auto"
-
-let memo : (string * string * int * string, result) Hashtbl.t = Hashtbl.create 64
+let memo : (string * string * int, result) Hashtbl.t = Hashtbl.create 64
 
 let memo_lock = Mutex.create ()
 
-let run ~primary ~other ~name ~flabel ~arbiter ~universes g =
+let run ~name ~flabel ~arbiter ~universes g =
   let t0 = Sys.time () in
   let ids = Ids.make_global g in
   let levels = arbiter.Arbiter.levels in
@@ -215,8 +203,10 @@ let run ~primary ~other ~name ~flabel ~arbiter ~universes g =
             | Some b -> Certs.declared_cap g ~ids b
             | None -> natural
           in
+          (* the compiled engine leads the search; pruned search, which
+             shares no code with the CNF, cross-checks the boundary *)
           let decide engine budget =
-            if engine == primary then incr probes;
+            if engine = `Sat then incr probes;
             (not (eve_slot_empty g ~budget ~eve universes))
             && Game.sigma_accepts ~engine arbiter g ~ids
                  ~universes:(restrict_universes ~budget ~eve universes)
@@ -224,8 +214,8 @@ let run ~primary ~other ~name ~flabel ~arbiter ~universes g =
           let proof_at budget =
             lower_bound_proof arbiter g ~ids ~universes ~eve ~budget
           in
-          if not (decide primary cap) then (
-            let agree = decide other cap = false in
+          if not (decide `Sat cap) then (
+            let agree = decide `Pruned cap = false in
             match proof_at cap with
             | Error detail -> finish ~agree (Unsupported detail)
             | Ok proof -> finish ~agree ~declared (Rejected { max_budget = cap; proof }))
@@ -234,11 +224,11 @@ let run ~primary ~other ~name ~flabel ~arbiter ~universes g =
             let lo = ref 0 and hi = ref cap in
             while !lo < !hi do
               let mid = (!lo + !hi) / 2 in
-              if decide primary mid then hi := mid else lo := mid + 1
+              if decide `Sat mid then hi := mid else lo := mid + 1
             done;
             let optimum = !lo in
             let agree =
-              decide other optimum && (optimum = 0 || decide other (optimum - 1) = false)
+              decide `Pruned optimum && (optimum = 0 || decide `Pruned (optimum - 1) = false)
             in
             if optimum = 0 then finish ~agree ~declared (Optimum { bits = 0; proof = Floor })
             else
@@ -257,12 +247,9 @@ let memoised key compute =
           Hashtbl.replace memo key r);
       r
 
-let search ?(engine = `Auto) ~name ~arbiter ~universes ~family ~size () =
-  let primary, other = engine_pair engine in
-  memoised (name, family.fam_name, size, engine_tag primary) (fun () ->
-      run ~primary ~other ~name ~flabel:family.fam_name ~arbiter ~universes (family.build size))
+let search ~name ~arbiter ~universes ~family ~size () =
+  memoised (name, family.fam_name, size) (fun () ->
+      run ~name ~flabel:family.fam_name ~arbiter ~universes (family.build size))
 
-let search_graph ?(engine = `Auto) ~name ~arbiter ~universes ~label g =
-  let primary, other = engine_pair engine in
-  memoised (name, label, G.card g, engine_tag primary) (fun () ->
-      run ~primary ~other ~name ~flabel:label ~arbiter ~universes g)
+let search_graph ~name ~arbiter ~universes ~label g =
+  memoised (name, label, G.card g) (fun () -> run ~name ~flabel:label ~arbiter ~universes g)

@@ -57,9 +57,9 @@ val robust_two_col_verifier : Lph_machine.Local_algo.packed
     either improper there or a local flip of Eve's. The universal block
     is semantically inert (two colourings proper at a node agree up to
     flipping), which is the point: engines that enumerate Adam's block
-    pay 2^n per Eve claim, the CEGAR engine one UNSAT call — the
-    scaling probe behind the `sigma2-2col` benchmarks and the
-    [`Cegar]-engine separation sweep
+    pay 2^n per Eve claim, the compiled engine's refinement duel one
+    UNSAT call — the scaling probe behind the `sigma2-2col` benchmarks
+    and the duel-backed separation sweep
     ({!Separations.sigma2_game_separation}). Certificate universe:
     {!color_universe}[ 2] at both levels. *)
 

@@ -213,49 +213,28 @@ let solve_pruned ~first (a : Arbiter.t) g ~ids ~universes =
       in
       go first universes []
 
-(* SAT-backed game value. The innermost block is answered by the
-   compiled CNF ({!Game_sat}); outer levels are enumerated here exactly
-   as in [solve_pruned], each chosen outer assignment reaching the
-   solver as assumption literals. Falls back to pruned search when the
-   game cannot be compiled (opaque arbiter, no verdicts, or the ball
-   tables exceed the compile budget). *)
+(* Compiled game value: the one engine behind both [`Sat] and [`Cegar].
+   The whole game is compiled once to CNF ({!Game_sat}). A one-level
+   game is a single leaf solve on that shared instance; a deeper game
+   is the refinement duel of {!Game_cegar}, so no outer certificate
+   block is ever enumerated. Whatever the compiled path cannot decide
+   (opaque arbiter or over-budget compile, an empty candidate slot at
+   depth two or more, an [LPH_CEGAR_MAX_ITERS] overrun) goes straight
+   to pruned search. *)
 let solve_sat ~first (a : Arbiter.t) g ~ids ~universes =
-  match (universes, Game_sat.compile a g ~ids ~universes) with
-  | [], _ | _, None -> solve_pruned ~first a g ~ids ~universes
-  | _, Some inst ->
-      let n = G.card g in
-      let rec go player universes rev_prefix =
-        match universes with
-        | [] -> assert false
-        | [ _last ] -> (
-            let prefix = List.rev rev_prefix in
-            match player with
-            | Eve -> Option.is_some (Game_sat.eve_leaf inst ~prefix)
-            | Adam -> not (Game_sat.adam_rejects inst ~prefix))
-        | universe :: rest ->
-            let options = assignments ~n universe in
-            let continue k = go (opponent player) rest (k :: rev_prefix) in
-            begin
-              match player with
-              | Eve -> Seq.exists continue options
-              | Adam -> Seq.for_all continue options
-            end
-      in
-      go first universes []
-
-(* CEGAR game value: the whole game handed to the dueling-solver loop
-   of {!Game_cegar}. The fallback ladder degrades gracefully — when
-   CEGAR cannot decide the game (opaque arbiter, over-budget compile,
-   an empty candidate slot, or an [LPH_CEGAR_MAX_ITERS] overrun) the
-   SAT engine takes over, which itself falls back to pruned search
-   when even the leaf cannot be compiled. *)
-let solve_cegar ~first (a : Arbiter.t) g ~ids ~universes =
-  match universes with
-  | [] -> solve_pruned ~first a g ~ids ~universes
-  | _ -> (
-      match Game_cegar.solve ~eve_first:(first = Eve) a g ~ids ~universes with
-      | Some value -> value
-      | None -> solve_sat ~first a g ~ids ~universes)
+  let compiled =
+    match universes with
+    | [] -> None
+    | [ _ ] ->
+        Option.map
+          (fun inst ->
+            match first with
+            | Eve -> Option.is_some (Game_sat.eve_leaf inst ~prefix:[])
+            | Adam -> not (Game_sat.adam_rejects inst ~prefix:[]))
+          (Game_sat.compile a g ~ids ~universes)
+    | _ -> Game_cegar.solve ~eve_first:(first = Eve) a g ~ids ~universes
+  in
+  match compiled with Some value -> value | None -> solve_pruned ~first a g ~ids ~universes
 
 let check_levels (a : Arbiter.t) universes =
   if List.length universes <> a.Arbiter.levels then
@@ -266,8 +245,7 @@ let check_levels (a : Arbiter.t) universes =
 let solve_first ~first engine a g ~ids ~universes =
   match resolve engine with
   | `Exhaustive -> solve_exhaustive ~first a g ~ids ~universes
-  | `Sat -> solve_sat ~first a g ~ids ~universes
-  | `Cegar -> solve_cegar ~first a g ~ids ~universes
+  | `Sat | `Cegar -> solve_sat ~first a g ~ids ~universes
   | `Auto | `Pruned -> solve_pruned ~first a g ~ids ~universes
 
 let sigma_accepts ?(engine = `Auto) a g ~ids ~universes =
@@ -298,8 +276,8 @@ let eve_witness ?(engine = `Auto) a g ~ids ~universes =
       match resolve engine with
       | `Exhaustive -> exhaustive ()
       | `Sat | `Cegar -> (
-          (* a one-level game has no outer block to refine: CEGAR and
-             SAT coincide on the shared compiled instance *)
+          (* the compiled engine's one-level path: a leaf solve on the
+             shared instance *)
           match Game_sat.compile a g ~ids ~universes with
           | Some inst -> Game_sat.eve_leaf inst ~prefix:[]
           | None -> pruned ())

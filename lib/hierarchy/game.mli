@@ -10,7 +10,7 @@
     licenses restricting quantifiers as long as the restrictors are
     locally repairable — the responsibility of the caller).
 
-    Two engines compute the game value. The exhaustive engine
+    Three engines compute the game value. The exhaustive engine
     ({!solve}) enumerates whole certificate assignments; its cost is
     [Π_u |universe u|] per level. The pruned engine
     ({!solve_pruned}) exploits arbiter {e locality}
@@ -19,8 +19,11 @@
     rejecting witness returned) as soon as one fully-assigned radius-r
     ball rejects, with ball verdicts memoised on ball contents and the
     top-level branching fanned out over domains ({!Lph_util.Parallel}).
-    Both engines agree on every input; the pruned one silently falls
-    back to exhaustive search for [Opaque] arbiters. *)
+    The compiled engine ({!solve_sat}) answers the game on one CNF:
+    a leaf solve at one level, a refinement duel at two or more. All
+    three agree on every input; the pruned one silently falls back to
+    exhaustive search for [Opaque] arbiters, the compiled one to pruned
+    search whenever it cannot decide. *)
 
 type player = Eve | Adam
 
@@ -67,13 +70,12 @@ type engine = [ `Auto | `Exhaustive | `Pruned | `Sat | `Cegar ]
     certificate bits changed since the previous candidate are re-run,
     via {!Lph_graph.Neighborhood.touched}). [`Pruned] requests
     locality-pruned search but still falls back to exhaustive on opaque
-    arbiters. [`Sat] compiles the innermost block to CNF ({!Game_sat})
-    and answers every game-tree leaf with an incremental
-    assumption-based solver call, falling back to pruned search when
-    compilation is unavailable or over budget. [`Cegar] hands the whole
-    game — every quantifier block — to the abstraction-refinement duel
-    of {!Game_cegar}, falling back down the ladder ([`Sat], then
-    [`Pruned]) when it cannot decide the game. *)
+    arbiters. [`Sat] is the compiled engine ({!solve_sat}): one leaf
+    solve on the shared CNF at one level, the {!Game_cegar} refinement
+    duel at two or more, and pruned search whenever that path cannot
+    decide the game. [`Cegar] is a synonym of [`Sat], kept so that
+    existing callers, [LPH_ENGINE=cegar] and the wire's engine byte
+    stay valid. *)
 
 val resolve : engine -> engine
 (** Resolve [`Auto] against the [LPH_ENGINE] environment variable (see
@@ -101,26 +103,16 @@ val solve_sat :
   ids:Lph_graph.Identifiers.t ->
   universes:universe list ->
   bool
-(** SAT-backed game value; agrees with {!solve} and {!solve_pruned} on
-    every input. The innermost quantifier block is compiled once to CNF
-    ({!Game_sat.compile}) and each leaf of the outer enumeration is an
-    incremental solve under assumption literals fixing that leaf's
-    outer certificates. Falls back to {!solve_pruned} when the game
-    cannot be compiled. *)
-
-val solve_cegar :
-  first:player ->
-  Arbiter.t ->
-  Lph_graph.Labeled_graph.t ->
-  ids:Lph_graph.Identifiers.t ->
-  universes:universe list ->
-  bool
-(** CEGAR game value; agrees with every other engine on every input.
-    The whole game is run as {!Game_cegar}'s propose/refute/generalise
-    loop between two incremental solver instances; when that engine
-    reports [None] (opaque arbiter, over-budget compile, empty
-    candidate slot, iteration cap) the value comes from {!solve_sat}
-    instead, which has its own pruned fallback. *)
+(** Compiled game value, the engine behind [`Sat] and [`Cegar]; agrees
+    with {!solve} and {!solve_pruned} on every input. The game is
+    compiled once to CNF ({!Game_sat.compile}). A one-level game is one
+    assumption-based leaf solve on that shared instance; a game of two
+    or more levels runs {!Game_cegar}'s propose/refute/generalise duel,
+    so no outer certificate block is enumerated. One fallback: when the
+    compiled path cannot decide the game (opaque arbiter, over-budget
+    compile, an empty candidate slot at two or more levels, or an
+    [LPH_CEGAR_MAX_ITERS] overrun) the value comes from
+    {!solve_pruned}. *)
 
 val sigma_accepts :
   ?engine:engine ->

@@ -1,10 +1,8 @@
-(* The CEGAR certificate-game engine: the whole Σℓ/Πℓ game as a duel
-   between incremental CDCL instances.
-
-   [`Sat] ({!Game_sat}) already answers the innermost block with a
-   solver but still ENUMERATES every outer block — Σ2 on n nodes costs
-   |U|^n leaf solves however fast each leaf is. This module removes
-   that wall with counterexample-guided abstraction refinement, the
+(* The refinement duel behind the compiled engine ([`Sat] and its
+   synonym [`Cegar]) at alternation depth two or more: the whole
+   Σℓ/Πℓ game as a duel between incremental CDCL instances, instead of
+   one leaf solve per outer certificate block (|U|^n of them on n
+   nodes). This is counterexample-guided abstraction refinement, the
    2QBF playbook (RAReQS-style) instantiated on the game's ball-local
    structure:
 
@@ -18,7 +16,7 @@
    - the REFUTER is the SHARED {!Game_sat} instance: the opponent's
      best reply at the innermost level is one assumption-based solve
      under the proposed prefix, so clauses it learns keep working for
-     every later refutation (and for the plain [`Sat] engine).
+     every later refutation (and for one-level leaf solves).
    - every refutation is GENERALISED through ball locality before it
      is returned to the proposer: if the refuting model rejects at
      node [w], the rejection only read the proposal inside
@@ -42,7 +40,7 @@
    by the current proposal, so proposals never repeat and the loop is
    bounded by the (finite) number of level assignments —
    [LPH_CEGAR_MAX_ITERS] is a belt on top, and overrunning it reports
-   "don't know" so the caller can fall back to an enumerating engine. *)
+   "don't know" so the caller can fall back to pruned search. *)
 
 module G = Lph_graph.Labeled_graph
 module N = Lph_graph.Neighborhood
@@ -193,8 +191,9 @@ let build ~eve_first (a : Arbiter.t) g ~ids ~universes =
       in
       (* an empty slot makes a quantifier level trivially winnable for
          Adam (and unloseable for him) before the arbiter ever runs —
-         enumeration semantics the optimistic proposer cannot see *)
-      if empty_slot then None
+         enumeration semantics the optimistic proposer cannot see; a
+         game without levels has no move to propose *)
+      if empty_slot || levels = 0 then None
       else
         Some
           {
@@ -265,29 +264,7 @@ let value d =
       | exception Out_of_iterations -> None)
 
 let solve ~eve_first (a : Arbiter.t) g ~ids ~universes =
-  match universes with
-  | [] -> None
-  | [ _ ] -> (
-      (* one block: the duel degenerates to a single proposal — one
-         solve on the mode-pinned proposer — but running it through
-         [instance] keeps the refinement counters live (so ℓ=1 rows
-         report iterations like everyone else) and the warm instance
-         shared. An empty candidate slot refuses [instance] while
-         {!Game_sat} still compiles: answer those directly on the
-         shared instance, exactly like the [`Sat] engine. *)
-      match instance ~eve_first a g ~ids ~universes with
-      | Some d -> value d
-      | None -> (
-          match Game_sat.compile a g ~ids ~universes with
-          | None -> None
-          | Some inst ->
-              Some
-                (if eve_first then Option.is_some (Game_sat.eve_leaf inst ~prefix:[])
-                 else not (Game_sat.adam_rejects inst ~prefix:[]))))
-  | _ -> (
-      match instance ~eve_first a g ~ids ~universes with
-      | None -> None
-      | Some d -> value d)
+  Option.bind (instance ~eve_first a g ~ids ~universes) value
 
 (* ---- observation --------------------------------------------------- *)
 

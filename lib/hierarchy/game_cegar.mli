@@ -1,7 +1,9 @@
-(** The CEGAR certificate-game engine behind [`Cegar]: the entire
-    Σℓ/Πℓ game compiled into a counterexample-guided
-    abstraction-refinement duel between incremental CDCL instances,
-    instead of enumerating the outer quantifier blocks.
+(** The refinement duel behind the compiled engine ([`Sat] and its
+    synonym [`Cegar]) at alternation depth two or more: the entire
+    Σℓ/Πℓ game run as a counterexample-guided abstraction-refinement
+    duel between incremental CDCL instances, instead of enumerating the
+    outer quantifier blocks. ({!Game.solve_sat} answers one-level games
+    with a single leaf solve on the shared {!Game_sat} instance.)
 
     A {e proposer} — a fork of the {!Game_sat} CNF with the mode
     variable pinned to its player's optimism — proposes an
@@ -31,18 +33,14 @@ val solve :
   ids:Lph_graph.Identifiers.t ->
   universes:(int -> string list) list ->
   bool option
-(** The game value with Eve ([eve_first]) or Adam moving first —
-    or [None] when this engine cannot (or refuses to) decide the game
-    and the caller should fall back: the arbiter is opaque or over the
-    [LPH_SAT_BUDGET] compile budget, some (level, node) slot has an
-    empty candidate list (enumeration semantics decide such games
-    before the arbiter runs), the universe list is empty, or the
-    refinement loop overran [LPH_CEGAR_MAX_ITERS]. One-level games run
-    the degenerate duel — a single unrefutable proposal on the
-    mode-pinned proposer — so their refinement counters ({!stats},
-    [iterations] in particular) are recorded like every deeper game's;
-    only the empty-slot case falls back to a direct answer on the
-    shared {!Game_sat} instance. *)
+(** The game value with Eve ([eve_first]) or Adam moving first: the
+    cached {!instance}, then its {!value}. [None] when the duel cannot
+    decide the game and the caller should fall back to pruned search:
+    the arbiter is opaque or over the [LPH_SAT_BUDGET] compile budget,
+    some (level, node) slot has an empty candidate list (enumeration
+    semantics decide such games before the arbiter runs), the universe
+    list is empty, or the refinement loop overran
+    [LPH_CEGAR_MAX_ITERS]. *)
 
 val instance :
   eve_first:bool ->

@@ -7,12 +7,13 @@
     acceptance variables are Tseytin-bound to the tabulated radius-r
     ball verdicts, and a mode variable switches the same instance
     between "every verifier accepts" (Eve's last move) and "some
-    verifier rejects" (Adam's). The enumeration engine walks the outer
-    quantifier levels and fixes each chosen outer certificate through
-    {e assumption literals}, so every leaf of the game tree is an
+    verifier rejects" (Adam's). A leaf solve fixes any outer
+    certificates through {e assumption literals}, so every leaf is an
     incremental {!Lph_boolean.Solver.solve_with} call on the same
-    solver: the CNF is built once, and clauses learned under one outer
-    prefix keep pruning under all later ones. *)
+    solver: the CNF is built once, and clauses learned under one prefix
+    keep pruning under all later ones. A one-level game is a single
+    leaf solve ({!Game.solve_sat}); deeper games are refinement duels
+    over this instance ({!Game_cegar}). *)
 
 type t
 (** A compiled game instance: one incremental SAT solver plus the
@@ -84,7 +85,7 @@ val graph_table_entries : uid:int -> int
 
 (** {1 CEGAR access}
 
-    The [`Cegar] engine ({!Game_cegar}) drives the same compiled CNF
+    The refinement duel ({!Game_cegar}) drives the same compiled CNF
     from outside: it forks the clause database into a private proposer
     solver, decodes whole levels out of refutation models, and maps
     rejecting nodes back to ball-restricted blocking cubes. *)

@@ -95,9 +95,9 @@ let two_col_game_separation ?(engine = `Auto) ~n () =
    {!Candidates.robust_two_col_verifier} has 2-COLORABLE as its value,
    so the odd cycle must lose it and the glued even double must win it
    — but now every Eve claim carries a full universal block, which an
-   enumerating engine sweeps (2^n challenges per claim) and the CEGAR
-   engine discharges with a single UNSAT refutation query. This is the
-   scaling family for the [`Cegar] bench rows. *)
+   enumerating engine sweeps (2^n challenges per claim) and the
+   compiled engine's refinement duel discharges with a single UNSAT
+   refutation query. This is the scaling family for the Σ2 bench rows. *)
 let sigma2_game_separation ?(engine = `Auto) ~n () =
   if n < 3 || n mod 2 = 0 then invalid_arg "Separations.sigma2_game_separation: n must be odd";
   let odd_cycle, glued = Gen.glued_even_cycle n in

@@ -63,8 +63,8 @@ val sigma2_game_separation :
     a full universal challenge block behind every Eve claim) on the odd
     cycle and its glued even double — expected
     (false, false, true, true). Enumerating engines pay [2^n]
-    challenges per claim here, the [`Cegar] engine one refutation
-    query; this family is the [`Cegar] scaling probe. *)
+    challenges per claim here, the compiled engine's refinement duel
+    one refutation query; this family is the duel's scaling probe. *)
 
 val prop21_sweep :
   decider:Lph_machine.Local_algo.packed ->

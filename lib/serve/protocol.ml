@@ -187,6 +187,8 @@ let property_codec =
       | 2 -> (Raising_probe, p)
       | t -> bad_tag "property" t)
 
+(* [`Cegar] keeps its own byte although it is a synonym of [`Sat]:
+   existing clients send 4 *)
 let engine_tag : Game.engine -> int = function
   | `Auto -> 0
   | `Exhaustive -> 1

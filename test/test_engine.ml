@@ -190,6 +190,42 @@ let sat_suite =
               check_bool "compile refused" true (Game_sat.compile a g ~ids ~universes = None);
               check_bool "verdict still correct" true
                 (Game.sigma_accepts ~engine:`Sat a g ~ids ~universes)));
+      quick "sigma2 under sat runs the refinement duel" (fun () ->
+          (* fresh graph: nothing cached for it yet *)
+          let g = Generators.cycle 7 in
+          let a = Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier in
+          let ids = global_ids g in
+          let universes = [ Candidates.color_universe 2; Candidates.color_universe 2 ] in
+          check_bool "C7 robust-2col verdict" (Properties.two_colorable g)
+            (Game.sigma_accepts ~engine:`Sat a g ~ids ~universes);
+          match Game_cegar.instance ~eve_first:true a g ~ids ~universes with
+          | None -> Alcotest.fail "robust game should build"
+          | Some d ->
+              check_bool "the duel behind the sat answer already ran" true
+                ((Game_cegar.stats d).Game_cegar.iterations >= 1));
+      quick "empty candidate slots fall through to pruned search" (fun () ->
+          let a = Arbiter.of_local_algo ~id_radius:2 two_level_verifier in
+          let bits = Game.of_choices [ "0"; "1" ] in
+          let gap u = if u = 1 then [] else [ "0"; "1" ] in
+          List.iter
+            (fun (level, universes, sigma, pi) ->
+              let g = Generators.path 3 in
+              let ids = global_ids g in
+              let name what = Printf.sprintf "empty slot at level %d: %s" level what in
+              check_bool (name "duel refuses") true
+                (Game_cegar.solve ~eve_first:true a g ~ids ~universes = None);
+              check_bool (name "exhaustive sigma") sigma
+                (Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes);
+              check_bool (name "exhaustive pi") pi
+                (Game.pi_accepts ~engine:`Exhaustive a g ~ids ~universes);
+              List.iter
+                (fun e ->
+                  check_bool (name "sigma") sigma (Game.sigma_accepts ~engine:e a g ~ids ~universes);
+                  check_bool (name "pi") pi (Game.pi_accepts ~engine:e a g ~ids ~universes))
+                [ `Sat; `Cegar ])
+            (* a player with an empty slot has no move: Eve loses where
+               she moves into it, Adam where he does *)
+            [ (0, [ gap; bits ], false, true); (1, [ bits; gap ], true, false) ]);
       quick "compiled instance re-solves incrementally across prefixes" (fun () ->
           let g = Generators.cycle 5 in
           let a = Arbiter.of_local_algo ~id_radius:2 two_level_verifier in
@@ -258,11 +294,11 @@ let cegar_suite =
           let ids = global_ids g in
           let universes = [ Candidates.color_universe 2 ] in
           let cegar = Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes in
-          cegar = Game.sigma_accepts ~engine:`Sat a g ~ids ~universes
-          && cegar = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
+          cegar = Game.sigma_accepts ~engine:`Pruned a g ~ids ~universes
+          && cegar = Game.sigma_accepts ~engine:`Exhaustive a g ~ids ~universes
           && Game.pi_accepts ~engine:`Cegar a g ~ids ~universes
              = Game.pi_accepts ~engine:`Pruned a g ~ids ~universes);
-      qcheck ~count:20 "two-level arbiter: all four engines agree"
+      qcheck ~count:20 "two-level arbiter: agrees with exhaustive and pruned"
         (arb_graph ~max_nodes:4 ())
         (fun g ->
           let a = Arbiter.of_local_algo ~id_radius:2 two_level_verifier in
@@ -273,7 +309,7 @@ let cegar_suite =
             (fun e ->
               cegar_s = Game.sigma_accepts ~engine:e a g ~ids ~universes:bit_universes
               && cegar_p = Game.pi_accepts ~engine:e a g ~ids ~universes:bit_universes)
-            [ `Exhaustive; `Pruned; `Sat ]);
+            [ `Exhaustive; `Pruned ]);
       qcheck ~count:25 "robust-2col Σ2 value is exactly 2-COLORABLE"
         (arb_graph ~max_nodes:5 ())
         (fun g ->
@@ -365,14 +401,14 @@ let cegar_suite =
                            replies)
                     (Game_cegar.cubes d))
             [ true; false ]);
-      quick "LPH_CEGAR_MAX_ITERS caps the duel and the engine falls back" (fun () ->
+      quick "LPH_CEGAR_MAX_ITERS caps the duel and the engine falls back to pruned search" (fun () ->
           with_env "LPH_CEGAR_MAX_ITERS" "1" (fun () ->
               let g = Generators.path 3 in
               let a = Arbiter.of_local_algo ~id_radius:1 echo_verifier in
               let ids = global_ids g in
               check_bool "duel reports don't know" true
                 (Game_cegar.solve ~eve_first:true a g ~ids ~universes:bit_universes = None);
-              check_bool "engine verdict still correct via fallback" false
+              check_bool "engine verdict still correct via pruned search" false
                 (Game.sigma_accepts ~engine:`Cegar a g ~ids ~universes:bit_universes));
           match
             with_env "LPH_CEGAR_MAX_ITERS" "zero" (fun () ->
@@ -391,10 +427,10 @@ let cegar_suite =
                 (Game_cegar.solve ~eve_first:true a g5 ~ids:(global_ids g5)
                    ~universes:robust_universes
                 = None);
-              check_bool "C5 verdict via the fallback ladder" false
+              check_bool "C5 verdict via pruned search" false
                 (Game.sigma_accepts ~engine:`Cegar a g5 ~ids:(global_ids g5)
                    ~universes:robust_universes);
-              check_bool "C6 verdict via the fallback ladder" true
+              check_bool "C6 verdict via pruned search" true
                 (Game.sigma_accepts ~engine:`Cegar a g6 ~ids:(global_ids g6)
                    ~universes:robust_universes)));
       quick "cegar sweeps are deterministic in the job count" (fun () ->

@@ -16,8 +16,8 @@ let fam name =
   | Some f -> f
   | None -> Alcotest.failf "unknown family %s" name
 
-let search ?engine ~name ~arbiter ~universes family size =
-  Opt.search ?engine ~name ~arbiter ~universes ~family:(fam family) ~size ()
+let search ~name ~arbiter ~universes family size =
+  Opt.search ~name ~arbiter ~universes ~family:(fam family) ~size ()
 
 let opt_bits r =
   match r.Opt.r_verdict with
@@ -135,13 +135,6 @@ let test_sigma2_optimum () =
   check_int "robust-2col optimum" 1 (opt_bits r);
   check_bool "engines agree" true r.Opt.r_engines_agree;
   check_core_proof "robust-2col lower bound" r
-
-let test_engines_fixed_explicitly () =
-  (* pinning either engine as primary must not change the verdict *)
-  let arbiter, universes = arb "2-color-verifier" in
-  let a = search ~engine:`Sat ~name:"2-color-verifier" ~arbiter ~universes "even-cycle" 6 in
-  let b = search ~engine:`Cegar ~name:"2-color-verifier" ~arbiter ~universes "even-cycle" 6 in
-  check_int "same optimum under both primaries" (opt_bits a) (opt_bits b)
 
 let test_memoisation () =
   let arbiter, universes = arb "2-color-verifier" in
@@ -261,7 +254,6 @@ let suites =
         quick "odd cycles rejected at every budget" test_color2_odd_cycles_rejected;
         quick "3-color optimum matches exhaustive search" test_color3_matches_exhaustive;
         quick "sigma2 optimum with core proof" test_sigma2_optimum;
-        quick "explicit engines agree" test_engines_fixed_explicitly;
         quick "search is memoised" test_memoisation;
         quick "env knob defaults" test_family_env_knobs;
       ] );

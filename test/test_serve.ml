@@ -5,12 +5,12 @@
    malformed — bad mode byte, over-cap length, truncation, unknown
    tags, trailing garbage — surfaces as a typed [Decode_error], never
    a raw exception. The scheduler: answers match single-process
-   [Game.resolve] for all four engines, warm entries report cache hits,
+   [Game.resolve] for every engine value, warm entries report cache hits,
    and the LRU bound actually evicts. The server: concurrent clients
    over a real Unix-domain socket, mixed wire modes on one daemon,
    pipelined responses matched by id. And the substrate satellites:
-   the shared Parallel pool does not respawn domains per call, and the
-   CEGAR engine now reports iterations for one-level games. *)
+   the shared Parallel pool does not respawn domains per call, and a
+   one-level refinement duel built directly reports its iterations. *)
 
 open Lph_core
 

@@ -12,32 +12,32 @@
    - a selector variable [s<level>_<node>_<i>] per (level, node,
      candidate certificate), under an exactly-one constraint per
      (level, node) — the direct encoding of the finite universes;
-   - an acceptance variable [a<node>] Tseytin-bound to the node's
-     ball-local verdict, tabulated by enumerating the (memoised)
+   - an acceptance variable [a<node>] fixed by the node's ball-local
+     table, tabulated by enumerating the (memoised)
      {!Arbiter.ball_checker} over every combination of selections
      inside the ball — the per-node-ball tableau of the Cook–Levin
-     construction, with {!Lph_boolean.Tseytin} supplying the clause
-     form (the polarity with the smaller table is encoded);
+     construction. Each row R of the table is ONE clause:
+     [a_u \/ ~R] when the verifier accepts R, [~a_u \/ ~R] when it
+     rejects. The exactly-one constraints select exactly one row per
+     node in every model, so these clauses force [a_u] to that row's
+     verdict; no auxiliary variable is introduced;
    - a mode variable [m] with clauses [m -> a_u] for every node and
      [~m -> some a_u false], so the SAME solver instance answers both
      leaf questions of the game: assuming [m] asks for an assignment
      every verifier accepts (Eve's move at the last level), assuming
      [~m] for one that some verifier rejects (Adam's move).
 
-   Outer quantifier levels are not re-encoded: the enumeration engine
-   walks them and fixes each outer certificate through ASSUMPTION
-   literals (the positive selector of the chosen candidate), so the
-   CNF is built once per (arbiter, graph, ids, universes) and every
-   leaf of the game tree is an incremental [Solver.solve_with] call —
-   unit propagation instantiates the outer bits, and clauses learned
-   under one prefix are reused under every later prefix. *)
+   Outer certificates are fixed through ASSUMPTION literals (the
+   positive selector of the chosen candidate), so the CNF is built
+   once per (arbiter, graph, ids, universes) and every leaf solve —
+   the one solve of a one-level game, each refutation of the
+   {!Game_cegar} duel — is an incremental [Solver.solve_with] call on
+   the same instance, reusing the clauses learned by earlier ones. *)
 
 module G = Lph_graph.Labeled_graph
 module N = Lph_graph.Neighborhood
 module Certs = Lph_graph.Certificates
-module BF = Lph_boolean.Bool_formula
 module Cnf = Lph_boolean.Cnf
-module Tseytin = Lph_boolean.Tseytin
 module Solver = Lph_boolean.Solver
 
 type t = {
@@ -76,30 +76,31 @@ let exactly_one lits =
   in
   lits :: pairs [] lits
 
-(* The ball-local acceptance table of one node: every combination of
-   candidate selections inside ball(u, r), split by verdict. *)
-let tabulate ~check ~choices ~levels ~n members u =
-  let slots =
-    List.concat_map
-      (fun l -> List.map (fun v -> (l, v)) members)
-      (List.init levels Fun.id)
-  in
+(* Node [u]'s ball-local acceptance table, one clause per row: a row
+   is one combination of candidate selections inside ball(u, r), and
+   [emit] receives [a_u \/ ~row] when the ball checker accepts it,
+   [~a_u \/ ~row] when it rejects. [unsel.(l).(v).(i)] is the negated
+   selector of candidate [i] at (level [l], node [v]). *)
+let tabulate ~check ~choices ~unsel ~levels ~n ~emit members u =
   let per_slot =
-    List.map (fun (l, v) -> List.mapi (fun i c -> (l, v, i, c)) choices.(l).(v)) slots
+    List.concat_map
+      (fun l ->
+        List.map
+          (fun v -> List.mapi (fun i c -> (l, v, c, unsel.(l).(v).(i))) choices.(l).(v))
+          members)
+      (List.init levels Fun.id)
   in
   let bufs = Array.init levels (fun _ -> Array.make n "") in
   let certs = Array.to_list bufs in
-  let accepting = ref [] and rejecting = ref [] in
+  let accepts = Cnf.pos (acc u) and rejects = Cnf.neg (acc u) in
   Seq.iter
     (fun combo ->
-      List.iter (fun (l, v, _, c) -> bufs.(l).(v) <- c) combo;
-      let selectors = List.map (fun (l, v, i, _) -> BF.Var (sel l v i)) combo in
-      if check u ~certs then accepting := selectors :: !accepting
-      else rejecting := selectors :: !rejecting)
-    (Lph_util.Combinat.product per_slot);
-  (List.rev !accepting, List.rev !rejecting)
+      List.iter (fun (l, v, c, _) -> bufs.(l).(v) <- c) combo;
+      let row = List.map (fun (_, _, _, lit) -> lit) combo in
+      emit ((if check u ~certs then accepts else rejects) :: row))
+    (Lph_util.Combinat.product per_slot)
 
-let compile_uncached (a : Arbiter.t) g ~ids ~universes =
+let compile_uncached (a : Arbiter.t) g ~ids ~choices =
   match (a.Arbiter.locality, Arbiter.ball_checker a g ~ids) with
   | Arbiter.Opaque, _ | _, None ->
       Result.Error
@@ -112,10 +113,7 @@ let compile_uncached (a : Arbiter.t) g ~ids ~universes =
            })
   | Arbiter.Ball r, Some check ->
       let n = G.card g in
-      let levels = List.length universes in
-      let choices =
-        Array.of_list (List.map (fun universe -> Array.init n universe) universes)
-      in
+      let levels = Array.length choices in
       let balls = Array.init n (fun u -> N.ball g ~radius:r u) in
       let table_size u =
         List.fold_left
@@ -144,29 +142,27 @@ let compile_uncached (a : Arbiter.t) g ~ids ~universes =
           recorded := c :: !recorded;
           Solver.add_clause solver c
         in
-        (* acceptance definitions: a_u <-> (ball of u accepts) *)
-        let defs =
-          List.init n (fun u ->
-              let accepting, rejecting =
-                tabulate ~check ~choices ~levels ~n balls.(u) u
-              in
-              let table rows = BF.disj (List.map BF.conj rows) in
-              let accept_formula =
-                if List.length accepting <= List.length rejecting then table accepting
-                else BF.Not (table rejecting)
-              in
-              BF.iff (BF.Var (acc u)) accept_formula)
+        (* every selector literal is built once, not once per row *)
+        let unsel =
+          Array.mapi
+            (fun l per_node ->
+              Array.mapi
+                (fun u cands -> Array.of_list (List.mapi (fun i _ -> Cnf.neg (sel l u i)) cands))
+                per_node)
+            choices
         in
-        List.iter (add_clause solver) (Tseytin.transform ~fresh_prefix:"x" (BF.conj defs));
-        (* the finite universes: exactly one candidate per level and node *)
+        (* acceptance rows: the exactly-one constraints below pick one
+           row per node, whose clause forces a_u to its verdict *)
         Array.iteri
-          (fun l per_node ->
-            Array.iteri
-              (fun u cands ->
-                List.iter (add_clause solver)
-                  (exactly_one (List.mapi (fun i _ -> Cnf.pos (sel l u i)) cands)))
-              per_node)
-          choices;
+          (fun u members ->
+            tabulate ~check ~choices ~unsel ~levels ~n ~emit:(add_clause solver) members u)
+          balls;
+        (* the finite universes: exactly one candidate per level and node *)
+        Array.iter
+          (Array.iter (fun lits ->
+               List.iter (add_clause solver)
+                 (exactly_one (List.map Cnf.negate (Array.to_list lits)))))
+          unsel;
         (* mode selection: m forces all-accept, ~m forces a rejection *)
         List.iter
           (fun u -> add_clause solver [ Cnf.neg mode; Cnf.pos (acc u) ])
@@ -204,10 +200,10 @@ let cache : (string * int * string array * string list array array, entry) Hasht
 let cache_lock = Mutex.create ()
 
 let compile_explain (a : Arbiter.t) g ~ids ~universes =
-  let choices_key =
+  let choices =
     Array.of_list (List.map (fun universe -> Array.init (G.card g) universe) universes)
   in
-  let key = (a.Arbiter.name, G.uid g, ids, choices_key) in
+  let key = (a.Arbiter.name, G.uid g, ids, choices) in
   let entry =
     Mutex.protect cache_lock (fun () ->
         match Hashtbl.find_opt cache key with
@@ -222,7 +218,7 @@ let compile_explain (a : Arbiter.t) g ~ids ~universes =
       match entry.compiled with
       | Some inst -> inst
       | None ->
-          let inst = compile_uncached a g ~ids ~universes in
+          let inst = compile_uncached a g ~ids ~choices in
           entry.compiled <- Some inst;
           inst)
 
@@ -263,9 +259,9 @@ let find_index x xs =
   in
   go 0 xs
 
-(* Assumption literals pinning the outer levels to the certificates the
-   enumeration engine chose: the positive selector of each choice (the
-   exactly-one constraints propagate the negative ones). *)
+(* Assumption literals pinning the outer levels to the caller's
+   certificates: the positive selector of each choice (the exactly-one
+   constraints propagate the negative ones). *)
 let prefix_assumptions t ~prefix =
   List.concat
     (List.mapi

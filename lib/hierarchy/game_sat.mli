@@ -3,9 +3,10 @@
     innermost existential block of a certificate game over explicit
     finite universes is compiled to one CNF per (arbiter, graph,
     identifiers, universes) — selector variables with exactly-one
-    constraints encode the per-node candidate choices, per-node
-    acceptance variables are Tseytin-bound to the tabulated radius-r
-    ball verdicts, and a mode variable switches the same instance
+    constraints encode the per-node candidate choices, each row of a
+    node's tabulated radius-r ball table is one clause forcing the
+    node's acceptance variable to that row's verdict (no auxiliary
+    variables), and a mode variable switches the same instance
     between "every verifier accepts" (Eve's last move) and "some
     verifier rejects" (Adam's). A leaf solve fixes any outer
     certificates through {e assumption literals}, so every leaf is an
@@ -145,8 +146,9 @@ val solver_stats : t -> Lph_boolean.Solver.stats
     proof. *)
 
 val cnf : t -> Lph_boolean.Cnf.t
-(** Every clause the compilation added, in insertion order: acceptance
-    definitions, exactly-one constraints and mode clauses. Replaying an
+(** Every clause the compilation added, in insertion order: one clause
+    per ball-table row, then the exactly-one constraints and the mode
+    clauses. Replaying an
     assumption core against these clauses in a fresh solver is how
     lower-bound proofs are validated independently of this instance's
     learned clauses. *)

@@ -226,6 +226,61 @@ let sat_suite =
             (* a player with an empty slot has no move: Eve loses where
                she moves into it, Adam where he does *)
             [ (0, [ gap; bits ], false, true); (1, [ bits; gap ], true, false) ]);
+      quick "empty candidate slots at one level: the leaf solve is UNSAT" (fun () ->
+          (* every radius-1 ball of P3 touches the empty slot at node 1,
+             so no row clause is emitted and only the empty exactly-one
+             clause decides: Eve has no move (sigma false), Adam has
+             none either (pi true) *)
+          let a = v2 () in
+          let gap u = if u = 1 then [] else [ "0"; "1" ] in
+          let g = Generators.path 3 in
+          let ids = global_ids g in
+          let universes = [ gap ] in
+          (match Game_sat.compile a g ~ids ~universes with
+          | None -> Alcotest.fail "one-level game with an empty slot should compile"
+          | Some inst -> check_int "no table rows" 0 (Game_sat.table_entries inst));
+          List.iter
+            (fun e ->
+              check_bool "sigma" false (Game.sigma_accepts ~engine:e a g ~ids ~universes);
+              check_bool "pi" true (Game.pi_accepts ~engine:e a g ~ids ~universes))
+            [ `Sat; `Cegar; `Exhaustive ]);
+      quick "each ball-table row is one clause over selectors and acceptance" (fun () ->
+          (* no auxiliary variables: every clause is a table row, an
+             exactly-one clause or a mode clause *)
+          let digits s = s <> "" && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '_') s in
+          let encoding_var v =
+            v = "m"
+            || String.length v > 1
+               && (v.[0] = 's' || v.[0] = 'a')
+               && digits (String.sub v 1 (String.length v - 1))
+          in
+          List.iter
+            (fun (name, a, universes) ->
+              let g = Generators.cycle 5 in
+              let n = Graph.card g in
+              match Game_sat.compile a g ~ids:(global_ids g) ~universes with
+              | None -> Alcotest.fail (name ^ " should compile")
+              | Some inst ->
+                  let cnf = Game_sat.cnf inst in
+                  List.iter
+                    (fun v -> check_bool (Printf.sprintf "%s: variable %s" name v) true (encoding_var v))
+                    (Cnf.vars cnf);
+                  let exactly_one = ref 0 in
+                  for level = 0 to Game_sat.levels inst - 1 do
+                    for node = 0 to n - 1 do
+                      let k = List.length (Game_sat.candidates inst ~level ~node) in
+                      exactly_one := !exactly_one + 1 + (k * (k - 1) / 2)
+                    done
+                  done;
+                  check_int (name ^ ": clause count")
+                    (Game_sat.table_entries inst + !exactly_one + n + 1)
+                    (List.length cnf))
+            [
+              ("3col C5", v3 (), [ Candidates.color_universe 3 ]);
+              ( "robust-2col C5",
+                Arbiter.of_local_algo ~id_radius:1 Candidates.robust_two_col_verifier,
+                [ Candidates.color_universe 2; Candidates.color_universe 2 ] );
+            ]);
       quick "compiled instance re-solves incrementally across prefixes" (fun () ->
           let g = Generators.cycle 5 in
           let a = Arbiter.of_local_algo ~id_radius:2 two_level_verifier in

@@ -371,37 +371,51 @@ let learn s lits_list bj =
 
 (* ---- clause addition ---------------------------------------------- *)
 
-exception Found_true
-
 (* Clauses are added at decision level 0 (every [solve_with] returns
    with the trail rewound), so literals already assigned are assigned
    permanently: true literals discharge the clause, false ones are
-   dropped. *)
+   dropped. Duplicate and complementary literals are found without a
+   side table: each kept literal marks its variable in [seen] (clear
+   outside conflict analysis), and a marked variable is a duplicate or
+   a tautology, told apart by its polarity in [kept]. A literal false at
+   the root is dropped unmarked: a repeat is dropped again and its
+   complement is true at the root, so every clause gets the verdict a
+   set of all scanned literals would give. Interning stops at the first
+   true literal. *)
 let add_clause s (clause : Cnf.clause) =
   backtrack s 0;
   if not s.root_conflict then begin
-    let seen_lits = Hashtbl.create 8 in
-    match
-      List.fold_left
-        (fun acc cl ->
+    let unmark = List.iter (fun l -> s.seen.(var_of l) <- false) in
+    let satisfied kept =
+      unmark kept;
+      None
+    in
+    let rec scan kept = function
+      | [] ->
+          unmark kept;
+          Some kept
+      | cl :: rest -> (
           let l = lit_of_cnf (intern s) cl in
-          if Hashtbl.mem seen_lits (neg_lit l) then raise Found_true (* tautology *)
-          else if Hashtbl.mem seen_lits l then acc
-          else begin
-            Hashtbl.replace seen_lits l ();
+          if s.seen.(var_of l) then
+            if List.exists (fun k -> k = l) kept then scan kept rest
+            else satisfied kept (* tautology *)
+          else
             match value s l with
-            | 1 -> raise Found_true (* satisfied at root *)
-            | 0 -> acc (* permanently false: drop *)
-            | _ -> l :: acc
-          end)
-        [] clause
-    with
-    | [] -> s.root_conflict <- true
-    | [ l ] ->
-        if not (enqueue s l None) then s.root_conflict <- true
-        else if propagate s <> None then s.root_conflict <- true
-    | lits -> attach s { lits = Array.of_list (List.rev lits) }
-    | exception Found_true -> ()
+            | 1 -> satisfied kept (* true at root *)
+            | 0 -> scan kept rest (* permanently false: drop *)
+            | _ ->
+                s.seen.(var_of l) <- true;
+                scan (l :: kept) rest)
+    in
+    match scan [] clause with
+    | None -> ()
+    | Some kept -> (
+        match kept with
+        | [] -> s.root_conflict <- true
+        | [ l ] ->
+            if not (enqueue s l None) then s.root_conflict <- true
+            else if propagate s <> None then s.root_conflict <- true
+        | lits -> attach s { lits = Array.of_list (List.rev lits) })
   end
 
 (* ---- search ------------------------------------------------------- *)

@@ -17,8 +17,10 @@ type t = {
   accepts : G.t -> ids:Lph_graph.Identifiers.t -> certs:Certs.t list -> bool;
 }
 
+(* a one-element list is its own certificate-list assignment
+   ([join_hash [x] = x]), so it is passed through without a copy *)
 let join_certs g certs =
-  match certs with [] -> Certs.trivial g | _ -> Certs.list_assignment certs
+  match certs with [] -> Certs.trivial g | [ k ] -> k | _ -> Certs.list_assignment certs
 
 let opaque_checker _g ~ids:_ = None
 
@@ -36,11 +38,16 @@ let opaque_checker _g ~ids:_ = None
    this arbiter: neighbourhood extractions are reused across calls on
    the same (graph, identifier assignment), and ball verdicts are
    memoised on the ball's certificate contents, so repeated game solves
-   (sweeps, benchmarks) pay for each distinct ball configuration once. *)
+   (sweeps, benchmarks) pay for each distinct ball configuration once.
+
+   Each hood also keeps the partial application [verdicts subgraph
+   ~ids], which for a staged verdict function ({!of_local_algo}) is the
+   prepared LOCAL run of the hood: a table row then pays only for the
+   rounds on its certificates. *)
 
 type hood = {
   ind : N.induced;
-  sub_ids : string array;
+  run : certs:Certs.t list -> bool array;  (** the hood's staged verdicts *)
   keep : bool array;  (** subgraph node within distance r of the centre *)
   members : int list;  (** ball(u, r), original node indices *)
   centre : int;
@@ -98,7 +105,7 @@ let make_checker ~locality ~verdicts =
               let centre =
                 match ind.N.to_sub u with Some c -> c | None -> assert false
               in
-              let h = { ind; sub_ids; keep; members; centre } in
+              let h = { ind; run = verdicts ind.N.subgraph ~ids:sub_ids; keep; members; centre } in
               state.hoods.(u) <- Some h;
               h
         in
@@ -117,14 +124,17 @@ let make_checker ~locality ~verdicts =
             match cached with
             | Some b -> b
             | None ->
-                let m = Array.length h.keep in
-                let sub_certs =
-                  List.map
-                    (fun (c : Certs.t) ->
-                      Array.init m (fun i -> if h.keep.(i) then c.(h.ind.N.of_sub i) else ""))
-                    certs
+                (* the hood's certificate-list assignment, joined here
+                   once per node and passed as its own one-level list *)
+                let join = Lph_util.Bitstring.join_hash in
+                let outside = join (List.map (fun _ -> "") certs) in
+                let hood_list =
+                  Array.init (Array.length h.keep) (fun i ->
+                      if h.keep.(i) then
+                        join (List.map (fun (c : Certs.t) -> c.(h.ind.N.of_sub i)) certs)
+                      else outside)
                 in
-                let b = (verdicts h.ind.N.subgraph ~ids:h.sub_ids ~certs:sub_certs).(h.centre) in
+                let b = (h.run ~certs:[ hood_list ]).(h.centre) in
                 Mutex.protect lock (fun () ->
                     if Hashtbl.length state.memo > 200_000 then Hashtbl.reset state.memo;
                     Hashtbl.replace state.memo key b);
@@ -136,9 +146,13 @@ let of_local_algo ~id_radius ?cert_bound packed =
     | Some r -> Ball r
     | None -> Opaque
   in
-  let verdicts g ~ids ~certs =
-    let result = Lph_machine.Runner.run packed g ~ids ~cert_list:(join_certs g certs) () in
-    Array.init (G.card g) (fun u -> Lph_machine.Runner.verdict result u = "1")
+  (* staged: the runner is prepared once per (graph, ids) and each
+     certificate list only re-runs the rounds *)
+  let verdicts g ~ids =
+    let prepared = Lph_machine.Runner.prepare packed g ~ids in
+    fun ~certs ->
+      Array.map (String.equal "1")
+        (Lph_machine.Runner.outputs prepared ~cert_list:(join_certs g certs) ())
   in
   {
     name = Lph_machine.Local_algo.name packed;

@@ -53,7 +53,9 @@ val of_local_algo :
 (** Wrap a local algorithm; [levels] is taken from the algorithm, and
     [locality] from its declared radius ({!Lph_machine.Local_algo.radius}).
     The certificate assignments are joined into a certificate-list
-    assignment before running, as in the paper. *)
+    assignment before running, as in the paper. Its [verdicts] are
+    staged: [verdicts g ~ids] prepares the run on [(g, ids)] once, and
+    each [~certs] only executes it ({!Lph_machine.Runner.outputs}). *)
 
 val of_turing :
   levels:int ->
@@ -93,4 +95,12 @@ val ball_checker :
     arbiter (per graph and identifier assignment, memoised on ball
     certificate contents), so repeated solves against the same arbiter
     reuse each distinct ball configuration. The closure is safe to call
-    from parallel domains. *)
+    from parallel domains.
+
+    Each hood is prepared once per (graph, identifier assignment,
+    node): it keeps the partial application [verdicts subgraph ~ids],
+    which for {!of_local_algo} is a {!Lph_machine.Runner.prepare}d run
+    of the hood. A memo miss then joins the hood's certificate lists and
+    executes only the rounds; the verdict memo and its key are
+    unchanged. The fault plan is resolved at each execution, as in
+    {!Lph_machine.Runner.run}. *)

@@ -39,7 +39,11 @@ let color_verifier k =
       ctx.LA.charge (List.length ball.Gather.entries * k);
       let mine = cert_value (ball_self ball) in
       mine < k
-      && List.for_all (fun e -> cert_value e <> mine && cert_value e < k) (ball_neighbours ball))
+      && List.for_all
+           (fun e ->
+             let v = cert_value e in
+             v <> mine && v < k)
+           (ball_neighbours ball))
 
 let encodings bound = List.init bound B.of_int
 
@@ -89,29 +93,33 @@ let honest_mod_certs ~period ~n = Array.init n (fun i -> B.of_int (i mod period)
 let robust_two_col_verifier =
   Gather.algo ~name:"robust-2col-verifier" ~radius:1 ~levels:2 ~decide:(fun ctx ball ->
       ctx.LA.charge (2 * List.length ball.Gather.entries);
-      let self = ball_self ball in
-      let nbrs = ball_neighbours ball in
-      let value level e =
-        match List.nth (Lph_graph.Certificates.split_list ~levels:2 e.Gather.cert) level with
-        | "0" -> Some 0
-        | "1" -> Some 1
-        | _ -> None (* out of range or malformed: never a proper colour *)
+      (* each entry's certificate list is split once, into its two
+         colours *)
+      let colours e =
+        let parse = function
+          | "0" -> Some 0
+          | "1" -> Some 1
+          | _ -> None (* out of range or malformed: never a proper colour *)
+        in
+        match Lph_graph.Certificates.split_list ~levels:2 e.Gather.cert with
+        | [ k1; k2 ] -> [| parse k1; parse k2 |]
+        | _ -> [| None; None |]
       in
+      let self = colours (ball_self ball) in
+      let nbrs = List.map colours (ball_neighbours ball) in
       let proper level =
-        match value level self with
+        match self.(level) with
         | None -> false
         | Some mine ->
-            List.for_all
-              (fun e -> match value level e with Some v -> v <> mine | None -> false)
-              nbrs
+            List.for_all (fun c -> match c.(level) with Some v -> v <> mine | None -> false) nbrs
       in
       let aligned () =
-        match (value 0 self, value 1 self) with
-        | Some c1, Some c2 ->
+        match self with
+        | [| Some c1; Some c2 |] ->
             List.for_all
-              (fun e ->
-                match (value 0 e, value 1 e) with
-                | Some c1', Some c2' -> c1 lxor c2 = c1' lxor c2'
+              (fun c ->
+                match c with
+                | [| Some c1'; Some c2' |] -> c1 lxor c2 = c1' lxor c2'
                 | _ -> false)
               nbrs
         | _ -> false

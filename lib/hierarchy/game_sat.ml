@@ -115,22 +115,26 @@ let compile_uncached (a : Arbiter.t) g ~ids ~choices =
       let n = G.card g in
       let levels = Array.length choices in
       let balls = Array.init n (fun u -> N.ball g ~radius:r u) in
+      let limit = budget () in
+      (* saturating at [limit + 1]: a ball with 62 binary slots would
+         wrap a plain product past the budget, and the size is only
+         ever compared against it *)
+      let over = limit + 1 in
+      let mul acc k = if k <> 0 && acc > limit / k then over else acc * k in
       let table_size u =
         List.fold_left
           (fun acc v ->
-            List.fold_left (fun acc l -> acc * List.length choices.(l).(v)) acc (List.init levels Fun.id))
+            List.fold_left (fun acc l -> mul acc (List.length choices.(l).(v))) acc (List.init levels Fun.id))
           1 balls.(u)
       in
-      let total = Array.fold_left (fun acc u -> acc + table_size u) 0 (Array.init n Fun.id) in
-      let limit = budget () in
+      let total = Array.fold_left (fun acc u -> min over (acc + table_size u)) 0 (Array.init n Fun.id) in
       if total > limit then
         Result.Error
           (Lph_util.Error.Resource_exhausted
              {
                what = "Game_sat";
                limit;
-               detail =
-                 Printf.sprintf "ball-table size %d exceeds the LPH_SAT_BUDGET tabulation cap" total;
+               detail = "ball-table size exceeds the LPH_SAT_BUDGET tabulation cap";
              })
       else begin
         let solver = Solver.create () in

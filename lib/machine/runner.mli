@@ -16,6 +16,14 @@
     identifier-ordered either way, so results and statistics are
     bit-identical for every job count.
 
+    {b Prepare, then execute.} A run is {!prepare} (what depends on the
+    graph and identifiers only: sorted neighbourhoods, delivery slots,
+    labels, degrees) followed by one round loop. {!run}, {!run_outcome}
+    and {!decides} do both per call; callers that run one instance on
+    many certificate lists (the arbiter's ball tables) prepare once and
+    call {!execute} or {!outputs}. Stats rows and the output graph are
+    only built by the entry points that return them.
+
     {b Fault injection.} An optional {!Lph_faults.Fault_plan} tampers
     with the run at its trust boundaries: identifiers and certificates
     before round 1, each message wire during delivery, crash-stops and
@@ -128,6 +136,56 @@ val run_outcome :
     Any non-crash fault, or more than [quorum] crashed nodes, or a
     survivor label divergence falls back to {!Faulted}. *)
 
+type prepared
+(** The certificate-independent half of a run on one graph and one
+    identifier assignment: the identifier-sorted neighbour arrays, the
+    delivery slot tables, and the labels, identifiers and degrees. One
+    prepared value can be executed on any number of certificate lists;
+    each execution pays only for the rounds themselves. *)
+
+val prepare :
+  Local_algo.packed -> Lph_graph.Labeled_graph.t -> ids:Lph_graph.Identifiers.t -> prepared
+(** [prepare algo g ~ids] does the work every run on [(g, ids)] shares,
+    and reads the team policy ([LPH_JOBS], [LPH_PAR_MIN]) for them.
+    Raises [Error.Error (Protocol_error _)] here, not at execution, when
+    identifiers are not distinct among some node's neighbours. {!run},
+    {!run_outcome} and {!decides} are [prepare] followed by the same
+    round loop, so a prepared execution is the run, not a model of it. *)
+
+val execute :
+  ?round_limit:int ->
+  ?faults:Lph_faults.Fault_plan.t ->
+  prepared ->
+  ?cert_list:string array ->
+  unit ->
+  result
+(** [execute p ?cert_list ()] equals [run algo g ~ids ?cert_list ()] for
+    the [(algo, g, ids)] that [p] was prepared from: same output labels,
+    same {!stats} bit for bit, under every job count and wire mode.
+
+    The fault plan ([?faults], else the ambient plan) is resolved at
+    each execution, never frozen at {!prepare}: installing a plan with
+    {!set_fault_plan} after preparing affects the next execution. With a
+    plan active the execution tampers the identifiers first and
+    re-prepares on the tampered ones, so the injected schedule is the
+    one {!run} would inject. The domain team policy ([LPH_JOBS],
+    [LPH_PAR_MIN]) is read once, by {!prepare}, and every execution of
+    [p] without a plan uses the team decision made there ({!run} reads
+    it per call, since it prepares per call). The job count never
+    changes an output or a stat. *)
+
+val outputs :
+  ?round_limit:int ->
+  ?faults:Lph_faults.Fault_plan.t ->
+  prepared ->
+  ?cert_list:string array ->
+  unit ->
+  string array
+(** [outputs p ?cert_list ()] is the output labels of
+    [execute p ?cert_list ()], per node, without building the stats rows
+    or the output graph (so the labels are not checked to be bit
+    strings). Same plan and team semantics as {!execute}. *)
+
 val accepts : result -> bool
 val verdict : result -> int -> string
 
@@ -138,4 +196,5 @@ val decides :
   ?cert_list:string array ->
   unit ->
   bool
-(** [run] followed by {!accepts}. *)
+(** [run] followed by {!accepts}, without building the stats or the
+    output graph. *)

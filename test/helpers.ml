@@ -16,6 +16,12 @@ let check_string name expected actual = Alcotest.(check string) name expected ac
 let qcheck ?(count = 100) name arbitrary property =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary property)
 
+(* run [f] under wire mode [m], restoring the previous mode after *)
+let with_mode m f =
+  let old = Codec.wire_mode () in
+  Codec.set_wire_mode m;
+  Fun.protect ~finally:(fun () -> Codec.set_wire_mode old) f
+
 (* ------------------------------------------------------------------ *)
 (* Generators *)
 

@@ -687,6 +687,161 @@ let runner_suite =
             (Runner.decides Candidates.eulerian_decider g ~ids:(global_ids g) ()));
     ] )
 
+(* ------------------------------------------------------------------ *)
+(* The staged ball checker: each hood's LOCAL run is prepared once and
+   re-executed per certificate list. Its verdicts must be those of a
+   fresh whole-hood verdict run, under both wire modes, and a fault plan
+   installed after the hoods were prepared must still be honoured. *)
+
+let with_plan plan f =
+  let old = Runner.fault_plan () in
+  Runner.set_fault_plan plan;
+  Fun.protect ~finally:(fun () -> Runner.set_fault_plan old) f
+
+(* a verifier whose verdict hashes everything in its ball — identifiers,
+   certificates and distances — so any staging slip shows *)
+let hashing_verifier ~radius ~levels =
+  Gather.algo ~name:(Printf.sprintf "hash-r%d-l%d" radius levels) ~radius ~levels
+    ~decide:(fun ctx ball ->
+      let h =
+        List.fold_left
+          (fun acc e -> (acc * 31) + Hashtbl.hash (e.Gather.ident, e.Gather.cert, e.Gather.dist))
+          (Hashtbl.hash ctx.Local_algo.cert_list)
+          ball.Gather.entries
+      in
+      h land 1 = 0)
+
+let random_certs rng ~alphabet ~levels n =
+  List.init levels (fun _ ->
+      Array.init n (fun _ -> List.nth alphabet (Random.State.int rng (List.length alphabet))))
+
+(* node [u]'s hood with its identifiers and certificates *)
+let hood_of g ~ids ~radius ~certs u =
+  let ind = Neighborhood.r_neighbourhood g ~radius u in
+  let m = Graph.card ind.Neighborhood.subgraph in
+  let sub_ids = Array.init m (fun i -> ids.(ind.Neighborhood.of_sub i)) in
+  let sub_certs =
+    List.map (fun (c : Certificates.t) -> Array.init m (fun i -> c.(ind.Neighborhood.of_sub i))) certs
+  in
+  (ind.Neighborhood.subgraph, sub_ids, sub_certs, Option.get (ind.Neighborhood.to_sub u))
+
+(* node [u]'s verdict from a fresh full verdicts call on its hood *)
+let fresh_verdict (a : Arbiter.t) g ~ids ~radius ~certs u =
+  let sub, sub_ids, sub_certs, centre = hood_of g ~ids ~radius ~certs u in
+  ((Option.get a.Arbiter.verdicts) sub ~ids:sub_ids ~certs:sub_certs).(centre)
+
+(* the same verdict from a fresh [Runner.run], which resolves the
+   ambient fault plan itself *)
+let fresh_run_verdict algo g ~ids ~radius ~certs u =
+  let sub, sub_ids, sub_certs, centre = hood_of g ~ids ~radius ~certs u in
+  let result = Runner.run algo sub ~ids:sub_ids ~cert_list:(Certificates.list_assignment sub_certs) () in
+  Runner.verdict result centre = "1"
+
+let typed f = match f () with v -> Ok v | exception Error.Error e -> Error e
+
+let staged_suite =
+  ( "engine:staged-checker",
+    [
+      qcheck ~count:30 "staged ball verdicts equal fresh hood runs, with and without a plan"
+        QCheck.(pair (arb_graph ~max_nodes:7 ()) small_nat)
+        (fun (g, seed) ->
+          let ids = global_ids g in
+          let rng = Random.State.make [| seed |] in
+          let n = Graph.card g in
+          List.for_all
+            (fun (radius, levels, wire) ->
+              with_mode wire (fun () ->
+                  let algo = hashing_verifier ~radius ~levels in
+                  let a = Arbiter.of_local_algo ~id_radius:1 algo in
+                  let check = Option.get (Arbiter.ball_checker a g ~ids) in
+                  let agrees ~alphabet ~fresh =
+                    List.for_all
+                      (fun _ ->
+                        let certs = random_certs rng ~alphabet ~levels n in
+                        List.for_all
+                          (fun u -> typed (fun () -> check u ~certs) = typed (fun () -> fresh ~certs u))
+                          (Graph.nodes g))
+                      [ 1; 2; 3 ]
+                  in
+                  (* the clean pass prepares every hood; the plan pass
+                     uses certificates the memo has never seen, against
+                     runs that read the plan themselves *)
+                  agrees ~alphabet:[ ""; "0"; "1" ] ~fresh:(fresh_verdict a g ~ids ~radius)
+                  &&
+                  let plan =
+                    Fault_plan.make ~rate:0.5
+                      ~kinds:Fault_plan.[ Corrupt; Drop; Cert_flip; Dup_id ]
+                      seed
+                  in
+                  with_plan (Some plan) (fun () ->
+                      agrees ~alphabet:[ "00"; "01"; "11" ]
+                        ~fresh:(fresh_run_verdict algo g ~ids ~radius))))
+            (List.concat_map
+               (fun radius ->
+                 List.concat_map
+                   (fun levels -> [ (radius, levels, Codec.Packed); (radius, levels, Codec.Bits) ])
+                   [ 1; 2 ])
+               [ 1; 2 ]));
+      quick "a plan installed after the hoods are prepared changes verdicts" (fun () ->
+          let g = Generators.cycle 6 in
+          let ids = global_ids g in
+          let a = v3 () in
+          let check = Option.get (Arbiter.ball_checker a g ~ids) in
+          (* every hood is prepared on a monochrome colouring *)
+          List.iter
+            (fun u -> check_bool "monochrome rejects" false (check u ~certs:[ Array.make 6 "0" ]))
+            (Graph.nodes g);
+          let proper = [ Array.init 6 (fun u -> string_of_int (u mod 2)) ] in
+          let plan = Fault_plan.make ~rate:1.0 ~kinds:[ Fault_plan.Cert_forge ] 5 in
+          with_plan (Some plan) (fun () ->
+              let verdicts =
+                List.map (fun u -> typed (fun () -> check u ~certs:proper)) (Graph.nodes g)
+              in
+              let fresh =
+                List.map
+                  (fun u ->
+                    typed (fun () ->
+                        fresh_run_verdict (Candidates.color_verifier 3) g ~ids ~radius:1
+                          ~certs:proper u))
+                  (Graph.nodes g)
+              in
+              check_bool "equal to fresh runs under the plan" true (verdicts = fresh);
+              check_bool "the plan rejected some node" true
+                (List.exists (fun v -> v <> Ok true) verdicts));
+          check_bool "plan-free verdicts accept" true
+            (List.for_all (fun u -> fresh_verdict a g ~ids ~radius:1 ~certs:proper u) (Graph.nodes g)));
+    ] )
+
+(* ------------------------------------------------------------------ *)
+(* The compile budget check must saturate, not wrap: a ball with 62 or
+   more binary slots overflows a 63-bit product. *)
+
+let budget_overflow_suite =
+  ( "engine:sat-budget-overflow",
+    [
+      quick "balls of 62+ binary slots are refused, not enumerated" (fun () ->
+          let a = v2 () in
+          List.iter
+            (fun (name, g) ->
+              let ids = global_ids g in
+              match
+                Game_sat.compile_explain a g ~ids ~universes:[ Candidates.color_universe 2 ]
+              with
+              | Error (Error.Resource_exhausted { what = "Game_sat"; _ }) -> ()
+              | Error e -> Alcotest.failf "%s: unexpected error %s" name (Error.to_string e)
+              | Ok _ -> Alcotest.failf "%s: expected a budget refusal" name)
+            [
+              ("star 62", Generators.star 62);
+              ("star 63", Generators.star 63);
+              ("complete 62", Generators.complete 62);
+            ]);
+      quick "the compiled engine answers star 70 through pruned search" (fun () ->
+          let g = Generators.star 70 in
+          check_bool "star 70 is 2-colourable" true
+            (Game.sigma_accepts ~engine:`Sat (v2 ()) g ~ids:(global_ids g)
+               ~universes:[ Candidates.color_universe 2 ]));
+    ] )
+
 let suites =
   [
     engine_equivalence;
@@ -697,4 +852,6 @@ let suites =
     parallel_suite;
     combinat_suite;
     runner_suite;
+    staged_suite;
+    budget_overflow_suite;
   ]

@@ -21,11 +21,6 @@ let with_env name value f =
   Unix.putenv name value;
   Fun.protect ~finally:(fun () -> Unix.putenv name (Option.value saved ~default:"")) f
 
-let with_mode m f =
-  let old = Codec.wire_mode () in
-  Codec.set_wire_mode m;
-  Fun.protect ~finally:(fun () -> Codec.set_wire_mode old) f
-
 let run_repr (r : Runner.result) =
   (Graph.labels r.Runner.output, r.Runner.stats.Runner.rounds, r.Runner.stats.Runner.charges)
 

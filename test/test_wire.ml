@@ -14,11 +14,6 @@
 open Lph_core
 open Helpers
 
-let with_mode m f =
-  let old = Codec.wire_mode () in
-  Codec.set_wire_mode m;
-  Fun.protect ~finally:(fun () -> Codec.set_wire_mode old) f
-
 (* run [f] under LPH_JOBS=[j], forcing the team path even on tiny
    graphs via LPH_PAR_MIN=1; both variables are read per call, so
    setting and restoring them around [f] is race-free in this
@@ -194,9 +189,93 @@ let equivalence_tests =
         check_bool "agree" true (modes_agree scenario));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Prepared runs: one [Runner.prepare] executed on several certificate
+   lists must give the outputs and stats of fresh [Runner.run] calls,
+   on the sequential path and on the domain team, and under a plan
+   that tampers the identifiers the preparation was made on. *)
+
+let result_repr (r : Runner.result) = (stats_repr r.Runner.stats, Graph.labels r.Runner.output)
+
+let sample_cert_lists ~levels n =
+  List.map
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pick () = List.nth [ ""; "0"; "1"; "10" ] (Random.State.int rng 4) in
+      Array.init n (fun _ -> Bitstring.join_hash (List.init levels (fun _ -> pick ()))))
+    [ 1; 2; 3; 4 ]
+
+let prepared_agrees ?faults algo g ~ids =
+  let p = Runner.prepare algo g ~ids in
+  List.for_all
+    (fun cert_list ->
+      result_repr (Runner.execute ?faults p ~cert_list ())
+      = result_repr (Runner.run ?faults algo g ~ids ~cert_list ()))
+    (sample_cert_lists ~levels:(Local_algo.levels algo) (Graph.card g))
+
+let prepared_tests =
+  [
+    qcheck ~count:20 "a prepared run equals fresh runs (LPH_JOBS=1)"
+      (arb_graph ~max_nodes:7 ())
+      (fun g ->
+        let ids = global_ids g in
+        with_jobs 1 (fun () ->
+            List.for_all
+              (fun algo -> prepared_agrees algo g ~ids)
+              [ Candidates.color_verifier 3; Candidates.robust_two_col_verifier ]));
+    quick "a prepared run equals fresh runs on the domain team" (fun () ->
+        (* 40 nodes: past the default LPH_PAR_MIN of 32 as well *)
+        let g = Generators.cycle 40 in
+        let ids = global_ids g in
+        with_jobs 4 (fun () ->
+            List.iter
+              (fun algo ->
+                check_bool (Local_algo.name algo) true (prepared_agrees algo g ~ids))
+              [ Candidates.color_verifier 3; Candidates.robust_two_col_verifier ]));
+    quick "an id-tampering plan re-prepares each execution, as run does" (fun () ->
+        let g = Generators.cycle 8 in
+        let ids = global_ids g in
+        let algo = Candidates.color_verifier 3 in
+        let p = Runner.prepare algo g ~ids in
+        let completed = ref 0 and refused = ref 0 in
+        for seed = 0 to 11 do
+          let plan = Fault_plan.make ~rate:1.0 ~kinds:[ Fault_plan.Dup_id ] seed in
+          List.iter
+            (fun cert_list ->
+              let attempt f = match f () with r -> Ok (result_repr r) | exception Error.Error e -> Error e in
+              let prepared = attempt (fun () -> Runner.execute ~faults:plan p ~cert_list ()) in
+              check_bool "prepared = fresh" true
+                (prepared = attempt (fun () -> Runner.run ~faults:plan algo g ~ids ~cert_list ()));
+              (* a dup-id plan is exactly a plan-free run on the
+                 tampered identifiers *)
+              let tampered, _ = Fault_plan.tamper_ids plan ids in
+              check_bool "prepared = plan-free run on the tampered ids" true
+                (prepared = attempt (fun () -> Runner.run algo g ~ids:tampered ~cert_list ()));
+              match Runner.run_outcome ~faults:plan algo g ~ids ~cert_list () with
+              | Runner.Faulted rep -> (
+                  check_bool "dup-id reported" true
+                    (List.exists (fun f -> f.Error.fault_kind = "dup-id") rep.Runner.faults);
+                  match (rep.Runner.partial, rep.Runner.error, prepared) with
+                  | Some r, None, Ok x ->
+                      incr completed;
+                      check_bool "partial = prepared" true (result_repr r = x)
+                  | None, Some e, Error e' ->
+                      incr refused;
+                      check_bool "same error" true (e = e')
+                  | _ -> Alcotest.fail "run_outcome and the prepared run disagree")
+              | _ -> Alcotest.fail "rate-1 dup-id always fires")
+            (sample_cert_lists ~levels:1 (Graph.card g))
+        done;
+        (* both sides of the plan are exercised: a duplicate between
+           neighbours is refused, elsewhere the run completes *)
+        check_bool "some tampered runs completed" true (!completed > 0);
+        check_bool "some tampered runs were refused" true (!refused > 0));
+  ]
+
 let suites =
   [
     ("wire:codec", codec_tests);
     ("wire:int-hardening", int_boundary_tests);
     ("wire:equivalence", equivalence_tests);
+    ("wire:prepared", prepared_tests);
   ]

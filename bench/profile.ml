@@ -41,6 +41,7 @@ let () =
               List.init ctx.Local_algo.degree (fun _ -> Local_algo.no_msg),
               round >= rounds_total ));
         output = (fun () -> "");
+        view = None;
       }
   in
   time "runner floor C32 (3 no-op rounds)" (fun () ->

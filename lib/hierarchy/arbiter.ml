@@ -40,17 +40,17 @@ let opaque_checker _g ~ids:_ = None
    memoised on the ball's certificate contents, so repeated game solves
    (sweeps, benchmarks) pay for each distinct ball configuration once.
 
-   Each hood also keeps the partial application [verdicts subgraph
-   ~ids], which for a staged verdict function ({!of_local_algo}) is the
-   prepared LOCAL run of the hood: a table row then pays only for the
-   rounds on its certificates. *)
+   Each hood also keeps [stage subgraph ~ids centre], the centre's
+   staged verdict: for {!of_local_algo} it is the centre's
+   {!Lph_machine.Runner.stage}d view of the hood, so a table row pays
+   only for the final step on its certificates (or for the rounds, when
+   the algorithm has no view). *)
 
 type hood = {
   ind : N.induced;
-  run : certs:Certs.t list -> bool array;  (** the hood's staged verdicts *)
+  run : certs:Certs.t list -> bool;  (** the centre's staged verdict *)
   keep : bool array;  (** subgraph node within distance r of the centre *)
   members : int list;  (** ball(u, r), original node indices *)
-  centre : int;
 }
 
 type checker_state = {
@@ -58,10 +58,10 @@ type checker_state = {
   memo : (int * string, bool) Hashtbl.t;  (** (centre, ball certificate signature) *)
 }
 
-let make_checker ~locality ~verdicts =
-  match (locality, verdicts) with
-  | Opaque, _ | _, None -> opaque_checker
-  | Ball r, Some verdicts ->
+let make_checker ~locality ~stage =
+  match locality with
+  | Opaque -> opaque_checker
+  | Ball r ->
       let eval_radius = max r 1 in
       let lock = Mutex.create () in
       let states : (int * string array, checker_state) Hashtbl.t = Hashtbl.create 8 in
@@ -105,7 +105,7 @@ let make_checker ~locality ~verdicts =
               let centre =
                 match ind.N.to_sub u with Some c -> c | None -> assert false
               in
-              let h = { ind; run = verdicts ind.N.subgraph ~ids:sub_ids; keep; members; centre } in
+              let h = { ind; run = stage ind.N.subgraph ~ids:sub_ids centre; keep; members } in
               state.hoods.(u) <- Some h;
               h
         in
@@ -134,7 +134,7 @@ let make_checker ~locality ~verdicts =
                         join (List.map (fun (c : Certs.t) -> c.(h.ind.N.of_sub i)) certs)
                       else outside)
                 in
-                let b = (h.run ~certs:[ hood_list ]).(h.centre) in
+                let b = h.run ~certs:[ hood_list ] in
                 Mutex.protect lock (fun () ->
                     if Hashtbl.length state.memo > 200_000 then Hashtbl.reset state.memo;
                     Hashtbl.replace state.memo key b);
@@ -154,6 +154,10 @@ let of_local_algo ~id_radius ?cert_bound packed =
       Array.map (String.equal "1")
         (Lph_machine.Runner.outputs prepared ~cert_list:(join_certs g certs) ())
   in
+  let stage g ~ids u =
+    let centre = Lph_machine.Runner.stage (Lph_machine.Runner.prepare packed g ~ids) ~node:u in
+    fun ~certs -> String.equal "1" (centre ~cert_list:(join_certs g certs))
+  in
   {
     name = Lph_machine.Local_algo.name packed;
     levels = Lph_machine.Local_algo.levels packed;
@@ -161,7 +165,7 @@ let of_local_algo ~id_radius ?cert_bound packed =
     cert_bound;
     locality;
     verdicts = Some verdicts;
-    checker = make_checker ~locality ~verdicts:(Some verdicts);
+    checker = make_checker ~locality ~stage;
     accepts =
       (fun g ~ids ~certs ->
         Lph_machine.Runner.decides packed g ~ids ~cert_list:(join_certs g certs) ());
@@ -180,7 +184,7 @@ let of_turing ~levels ~id_radius ?cert_bound ?verify_radius (m : Lph_machine.Tur
     cert_bound;
     locality;
     verdicts = Some verdicts;
-    checker = make_checker ~locality ~verdicts:(Some verdicts);
+    checker = make_checker ~locality ~stage:(fun g ~ids u ~certs -> (verdicts g ~ids ~certs).(u));
     accepts =
       (fun g ~ids ~certs ->
         Lph_machine.Turing.accepts

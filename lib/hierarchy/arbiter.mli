@@ -55,7 +55,9 @@ val of_local_algo :
     The certificate assignments are joined into a certificate-list
     assignment before running, as in the paper. Its [verdicts] are
     staged: [verdicts g ~ids] prepares the run on [(g, ids)] once, and
-    each [~certs] only executes it ({!Lph_machine.Runner.outputs}). *)
+    each [~certs] only executes it ({!Lph_machine.Runner.outputs}). Its
+    checker stages each hood further, through the centre's
+    {!Lph_machine.Runner.stage} (see {!ball_checker}). *)
 
 val of_turing :
   levels:int ->
@@ -97,10 +99,17 @@ val ball_checker :
     reuse each distinct ball configuration. The closure is safe to call
     from parallel domains.
 
-    Each hood is prepared once per (graph, identifier assignment,
-    node): it keeps the partial application [verdicts subgraph ~ids],
-    which for {!of_local_algo} is a {!Lph_machine.Runner.prepare}d run
-    of the hood. A memo miss then joins the hood's certificate lists and
-    executes only the rounds; the verdict memo and its key are
-    unchanged. The fault plan is resolved at each execution, as in
+    Each hood is staged once per (graph, identifier assignment, node):
+    it keeps the centre's staged verdict. For {!of_local_algo} that is
+    [Runner.stage] of the {!Lph_machine.Runner.prepare}d hood at its
+    centre. For an algorithm with a {!type:Lph_machine.Local_algo.view}
+    (every {!Lph_machine.Gather.algo}) the hood floods once, plan-free,
+    on node tags, and keeps the centre's gathered ball; a memo miss
+    then fills the row's certificate lists into that ball and runs the
+    centre's [decide] alone. The flood runs at the algorithm's own
+    radius, whatever radius the arbiter declares. Other algorithms
+    execute the prepared rounds per miss, and {!of_turing} runs the
+    machine on the hood. The verdict memo and its key are unchanged.
+    The fault plan is resolved at each call: under a plan the row runs
+    the whole LOCAL execution on the hood, as in
     {!Lph_machine.Runner.run}. *)

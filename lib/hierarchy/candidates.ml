@@ -29,9 +29,18 @@ let local_two_col_decider ~radius =
       ctx.LA.charge (G.card sub + G.num_edges sub);
       Properties.two_colorable sub)
 
-(* Certificates are bit strings; an empty or overly long certificate
-   decodes to a value the verifier then range-checks. *)
-let cert_value e = B.to_int (List.hd (Lph_util.Bitstring.split_hash e.Gather.cert))
+(* Certificates are bit strings; an empty certificate decodes to 0. A
+   certificate with a non-bit character, or whose value does not fit an
+   [int], decodes to [max_int], which every verifier below range-checks
+   away: a malformed certificate is rejected, never raised on. *)
+let cert_value e =
+  String.fold_left
+    (fun acc c ->
+      match c with
+      | ('0' | '1') when acc <= (max_int - 1) / 2 -> (2 * acc) + Char.code c - Char.code '0'
+      | _ -> max_int)
+    0
+    (List.hd (B.split_hash e.Gather.cert))
 
 let color_verifier k =
   Gather.algo ~name:(Printf.sprintf "%d-color-verifier" k) ~radius:1 ~levels:1

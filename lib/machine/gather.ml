@@ -252,6 +252,23 @@ let the_ball st =
   | Some b -> b
   | None -> Lph_util.Error.protocol_error ~what:"Gather" "ball not completed"
 
+let flood ~radius ctx round st ~inbox =
+  let out, finished = gather_round ~radius ctx round st ~inbox in
+  (st, out, finished)
+
+(* The flood forwards every [cert] verbatim and [merge] never reads it:
+   which entry wins on identifier, distance and adjacency depends on the
+   topology and the identifiers alone. So a flood run on per-node tags
+   gathers the same ball as a run on real certificates, tag for
+   certificate, and a row's ball is the tagged ball with each tag
+   replaced by its node's certificate list. Only the ball is kept, not
+   the flooding table. *)
+let refill ~decide st =
+  let ball = the_ball st in
+  fun ctx ~cert_of ->
+    let entries = List.map (fun e -> { e with cert = cert_of e.cert }) ball.entries in
+    if decide ctx { ball with entries } then "1" else "0"
+
 let algo ~name ~radius ~levels ~decide =
   Local_algo.Packed
     {
@@ -261,10 +278,11 @@ let algo ~name ~radius ~levels ~decide =
       init = init_state;
       round =
         (fun ctx round st ~inbox ->
-          let out, finished = gather_round ~radius ctx round st ~inbox in
+          let ((_, _, finished) as step) = flood ~radius ctx round st ~inbox in
           if finished then st.verdict <- Some (if decide ctx (the_ball st) then "1" else "0");
-          (st, out, finished));
+          step);
       output = (fun st -> match st.verdict with Some v -> v | None -> "0");
+      view = Some { Local_algo.flood = flood ~radius; refill = refill ~decide };
     }
 
 let map_algo ~name ~radius ~levels ~f =
@@ -280,6 +298,7 @@ let map_algo ~name ~radius ~levels ~f =
           if finished then st.verdict <- Some (f ctx (the_ball st));
           (st, out, finished));
       output = (fun st -> match st.verdict with Some v -> v | None -> "");
+      view = None;
     }
 
 let ball_output_algo ~radius ~levels =
@@ -289,14 +308,12 @@ let ball_output_algo ~radius ~levels =
       levels;
       radius = Some radius;
       init = init_state;
-      round =
-        (fun ctx round st ~inbox ->
-          let out, finished = gather_round ~radius ctx round st ~inbox in
-          (st, out, finished));
+      round = flood ~radius;
       (* output labels are part of the graph model and must stay bit
          strings ([Labeled_graph] enforces it); only messages are
          transported in the packed wire format *)
       output = (fun st -> C.encode_bits ball_codec (the_ball st));
+      view = None;
     }
 
 let reconstruct ball =

@@ -48,7 +48,17 @@ val algo :
   decide:(Local_algo.ctx -> ball -> bool) ->
   Local_algo.packed
 (** A local algorithm that gathers the [radius]-ball and then applies
-    [decide] to reach its verdict. *)
+    [decide] to reach its verdict.
+
+    It carries a {!type:Local_algo.view}: the flood forwards each entry's
+    [cert] verbatim and never reads it (the first entry to arrive wins
+    on identifier, distance and adjacency), so a flood run on per-node
+    tags gathers the ball of any run, tag for certificate list. The
+    view's [refill] keeps only the node's gathered ball; per call it
+    puts the certificate list of each entry's origin into that entry
+    and applies [decide] once, for that node alone. Filling by origin
+    rather than by identifier keeps this exact when identifiers
+    collide inside the ball. {!Runner.stage} runs it. *)
 
 val map_algo :
   name:string ->
@@ -58,7 +68,8 @@ val map_algo :
   Local_algo.packed
 (** Like {!algo} but with an arbitrary output label (must be a bit
     string): the shape of graph-transformation machines, whose output
-    labels encode clusters (Section 8). *)
+    labels encode clusters (Section 8). It has no
+    {!type:Local_algo.view}. *)
 
 (** {1 Re-usable gathering phase}
 

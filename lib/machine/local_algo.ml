@@ -26,6 +26,12 @@ type 'st t = {
   init : ctx -> 'st;
   round : ctx -> int -> 'st -> inbox:msg list -> 'st * msg list * bool;
   output : 'st -> string;
+  view : 'st view option;
+}
+
+and 'st view = {
+  flood : ctx -> int -> 'st -> inbox:msg list -> 'st * msg list * bool;
+  refill : 'st -> ctx -> cert_of:(string -> string) -> string;
 }
 
 type packed = Packed : 'st t -> packed
@@ -50,8 +56,9 @@ let pure_decider ~name ~levels verdict =
           verdict ctx);
       round = (fun _ctx _round accepted ~inbox:_ -> (accepted, [], true));
       output = (fun accepted -> if accepted then "1" else "0");
+      view = None;
     }
 
-let map_output f (Packed a) = Packed { a with output = (fun st -> f (a.output st)) }
+let map_output f (Packed a) = Packed { a with output = (fun st -> f (a.output st)); view = None }
 
 let with_radius radius (Packed a) = Packed { a with radius }

@@ -66,6 +66,28 @@ type 'st t = {
           messages than the node's degree is an error the runner
           rejects), and whether the node stops. *)
   output : 'st -> string;  (** the final label; "1" means accept *)
+  view : 'st view option;
+      (** [Some v] when certificates only travel through the run and
+          each node reads them in one final step; [None] otherwise
+          (every algorithm but {!Gather.algo}). See {!type:view}. *)
+}
+
+(** The staged view of an algorithm whose rounds forward certificate
+    lists verbatim and never branch on them.
+
+    Run [flood] in place of [round] with no fault plan, giving every
+    node a distinct tag as its certificate list, and let [st] be the
+    final state of node [u]. Then for every certificate-list assignment
+    [c], the output of [u] in the run on [c] is
+    [refill st ctx ~cert_of], where [ctx] is [u]'s context under [c]
+    ([charge] may be a no-op: refill charges are not recorded) and
+    [cert_of t] is the list [c] gives the node tagged [t]. [refill st]
+    may be applied once and the result kept: it should retain only
+    what the final step reads. *)
+and 'st view = {
+  flood : ctx -> int -> 'st -> inbox:msg list -> 'st * msg list * bool;
+      (** [round] without the certificate-reading final step *)
+  refill : 'st -> ctx -> cert_of:(string -> string) -> string;
 }
 
 type packed = Packed : 'st t -> packed
@@ -84,6 +106,7 @@ val pure_decider : name:string -> levels:int -> (ctx -> bool) -> packed
     bumped once per input character. *)
 
 val map_output : (string -> string) -> packed -> packed
+(** Post-compose the output labels. The result has no {!type:view}. *)
 
 val with_radius : int option -> packed -> packed
 (** Override the declared verification radius: the machine's behaviour

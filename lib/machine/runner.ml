@@ -129,7 +129,7 @@ let prepare_core algo g ~ids =
 let prepare (Local_algo.Packed algo) g ~ids = Prepared (prepare_core algo g ~ids)
 
 (* The round loop: the certificate-dependent half of a run. Returns the
-   per-node output labels and, when [with_stats], the cost-model stats
+   per-node final states and, when [with_stats], the cost-model stats
    — callers that drop the stats skip their per-round rows. *)
 let exec ?(round_limit = 1000) ~plan ~record ~with_stats c ~cert_list ~crash_at =
   let algo = c.algo in
@@ -268,7 +268,7 @@ let exec ?(round_limit = 1000) ~plan ~record ~with_stats c ~cert_list ~crash_at 
         for u = 0 to n - 1 do
           f u
         done);
-  let outputs = Array.map (fun ne -> algo.output ne.state) nodes in
+  let states = Array.map (fun ne -> ne.state) nodes in
   let rev l = Array.of_list (List.rev l) in
   let stats =
     if with_stats then
@@ -281,7 +281,7 @@ let exec ?(round_limit = 1000) ~plan ~record ~with_stats c ~cert_list ~crash_at 
         }
     else None
   in
-  (outputs, stats)
+  (states, stats)
 
 (* One execution. The plan is resolved by the caller at every call, and
    its pre-round-1 tampering (identifiers, then certificates, then the
@@ -292,9 +292,12 @@ let exec ?(round_limit = 1000) ~plan ~record ~with_stats c ~cert_list ~crash_at 
 let execute_with ?round_limit ~plan ~record ~with_stats algo g ~ids ~prepared ?cert_list () =
   let n = G.card g in
   let cert_list = match cert_list with Some c -> c | None -> Array.make n "" in
+  let outputs (states, stats) = (Array.map algo.Local_algo.output states, stats) in
   match plan with
   | None ->
-      exec ?round_limit ~plan ~record ~with_stats (Lazy.force prepared) ~cert_list ~crash_at:[||]
+      outputs
+        (exec ?round_limit ~plan ~record ~with_stats (Lazy.force prepared) ~cert_list
+           ~crash_at:[||])
   | Some p ->
       let ids, f = Fault_plan.tamper_ids p ids in
       Option.iter record f;
@@ -307,7 +310,9 @@ let execute_with ?round_limit ~plan ~record ~with_stats algo g ~ids ~prepared ?c
           cert_list
       in
       let crash_at = Array.init n (fun u -> Fault_plan.crash_round p ~node:u) in
-      exec ?round_limit ~plan ~record ~with_stats (prepare_core algo g ~ids) ~cert_list ~crash_at
+      outputs
+        (exec ?round_limit ~plan ~record ~with_stats (prepare_core algo g ~ids) ~cert_list
+           ~crash_at)
 
 let run_core ?round_limit ~plan ~record ~with_stats (Local_algo.Packed algo) g ~ids ?cert_list () =
   execute_with ?round_limit ~plan ~record ~with_stats algo g ~ids
@@ -334,6 +339,53 @@ let outputs ?round_limit ?faults (Prepared c) ?cert_list () =
   fst
     (execute_with ?round_limit ~plan:(resolve_plan faults) ~record:ignore_fault ~with_stats:false
        c.algo c.graph ~ids:c.ids ~prepared:(Lazy.from_val c) ?cert_list ())
+
+(* The staged view of one node. The flood runs once, plan-free, on
+   per-node tags (hood index [i] is tagged [of_int i]); every later call
+   without a plan fills the call's certificate lists into the node's
+   gathered view and runs only its final step. A call under a plan runs
+   the whole execution, since the plan may tamper with what the flood
+   carries; it prepares afresh on the tampered identifiers, so the
+   closure keeps the graph and identifiers but none of the prepared
+   arrays. *)
+let stage (Prepared c as p) ~node =
+  match c.algo.Local_algo.view with
+  | None -> fun ~cert_list -> (outputs p ~cert_list ()).(node)
+  | Some v ->
+      let algo = c.algo and graph = c.graph and ids = c.ids in
+      let tags = Array.init (Array.length c.labels) Lph_util.Bitstring.of_int in
+      let states, _ =
+        exec ~plan:None ~record:ignore_fault ~with_stats:false
+          { c with algo = { algo with round = v.Local_algo.flood } }
+          ~cert_list:tags ~crash_at:[||]
+      in
+      let refill = v.Local_algo.refill states.(node) in
+      let ctx =
+        {
+          Local_algo.label = c.labels.(node);
+          ident = ids.(node);
+          certs = [];
+          cert_list = "";
+          degree = c.degrees.(node);
+          charge = ignore;
+        }
+      in
+      fun ~cert_list ->
+        match !ambient_plan with
+        | Some _ as plan ->
+            (fst
+               (run_core ~plan ~record:ignore_fault ~with_stats:false (Local_algo.Packed algo) graph
+                  ~ids ~cert_list ()))
+              .(node)
+        | None ->
+            let own = cert_list.(node) in
+            refill
+              {
+                ctx with
+                certs = Lph_graph.Certificates.split_list ~levels:algo.levels own;
+                cert_list = own;
+              }
+              ~cert_of:(fun tag -> cert_list.(Lph_util.Bitstring.to_int tag))
 
 (* Quorum mode: a faulted run whose only fired faults are crash-stops
    of at most [quorum] nodes, and whose surviving nodes still computed

@@ -186,6 +186,24 @@ val outputs :
     or the output graph (so the labels are not checked to be bit
     strings). Same plan and team semantics as {!execute}. *)
 
+val stage : prepared -> node:int -> cert_list:string array -> string
+(** [stage p ~node] is the output label of [node] as a function of the
+    certificate-list assignment: [stage p ~node ~cert_list] equals
+    [(outputs p ~cert_list ()).(node)], under every job count and wire
+    mode. (If that execution would raise in another node's final step,
+    a staged [node] still answers.)
+
+    When the algorithm has a {!type:Local_algo.view}, applying [stage p
+    ~node] runs the view's flood once, with no fault plan, on per-node
+    tags, and keeps only [node]'s final state. Each call then fills its
+    certificate lists into that state and runs the node's final step
+    alone, on a context with a no-op [charge]. Without a view each call
+    is an execution of [p].
+
+    The ambient fault plan is resolved at each call, as for
+    {!outputs}: a call under a plan runs the whole execution, so the
+    plan tampers with exactly what {!run} would tamper with. *)
+
 val accepts : result -> bool
 val verdict : result -> int -> string
 

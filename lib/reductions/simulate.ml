@@ -315,6 +315,7 @@ let through_reduction reduction ~inner ?(sim_rounds = 64) () =
           | Finished _ -> (st, [], true));
       output =
         (fun st -> match st.phase with Finished v -> v | Gathering _ | Simulating _ -> "0");
+      view = None;
     }
 
 let lift_cert_assignment ~owners ~card ~levels certs' =

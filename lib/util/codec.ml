@@ -39,16 +39,17 @@ let wire_mode () = !mode
 let set_wire_mode m = mode := m
 
 (* the 8-character '0'/'1' expansion of each byte value, pre-packed as a
-   little-endian int64 so expansion is one 8-byte store per input byte *)
+   little-endian int64 so expansion is one 8-byte store per input byte.
+   Built eagerly: two domains of the parallel runner forcing a [lazy]
+   table at once raise [CamlinternalLazy.Undefined]. *)
 let byte_bits =
-  lazy
-    (Array.init 256 (fun b ->
-         let s = String.init 8 (fun i -> if (b lsr (7 - i)) land 1 = 1 then '1' else '0') in
-         String.get_int64_le s 0))
+  Array.init 256 (fun b ->
+      let s = String.init 8 (fun i -> if (b lsr (7 - i)) land 1 = 1 then '1' else '0') in
+      String.get_int64_le s 0)
 
 let encode_bits c v =
   let raw = encode c v in
-  let tbl = Lazy.force byte_bits in
+  let tbl = byte_bits in
   let n = String.length raw in
   let out = Bytes.create (8 * n) in
   for i = 0 to n - 1 do

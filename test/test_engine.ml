@@ -813,6 +813,190 @@ let staged_suite =
     ] )
 
 (* ------------------------------------------------------------------ *)
+(* The staged view: a Gather verifier's hood floods once on per-node
+   tags, and each certificate list is filled into the centre's gathered
+   ball. The staged centre verdict must be the LOCAL one — a fresh
+   [Runner.run] on the hood — for every Gather verifier in [Candidates],
+   re-declared radii and a mapped output (which runs without a view),
+   under both wire modes, on empty, malformed and multi-level
+   certificates, and on identifier assignments that collide inside the
+   hood. *)
+
+let view_algos =
+  [
+    Candidates.constant_label_decider;
+    Candidates.local_two_col_decider ~radius:1;
+    Candidates.local_two_col_decider ~radius:2;
+    Candidates.color_verifier 2;
+    Candidates.color_verifier 3;
+    Candidates.exact_counter_verifier ~cap:3;
+    Candidates.mod_counter_verifier ~period:3;
+    Candidates.robust_two_col_verifier;
+    Candidates.sat_graph_verifier;
+    Candidates.two_factor_verifier;
+    Local_algo.with_radius (Some 0) Candidates.constant_label_decider;
+    Local_algo.with_radius (Some 2) (Candidates.color_verifier 2);
+    Local_algo.map_output (fun v -> if v = "1" then "0" else "1") (Candidates.color_verifier 3);
+    hashing_verifier ~radius:1 ~levels:2;
+    hashing_verifier ~radius:2 ~levels:1;
+  ]
+
+let view_alphabet = [ ""; "0"; "1"; "10"; "11"; "x"; "2"; "1x"; "0#1"; "1#0#1"; "#" ]
+
+(* identifiers drawn from a four-value pool, so they collide at every
+   distance the runner allows: only two neighbours of one node must
+   differ (a fresh identifier is used when the pool is exhausted) *)
+let colliding_ids rng g =
+  let n = Graph.card g in
+  let ids = Array.make n "" in
+  for u = 0 to n - 1 do
+    let taken =
+      List.concat_map
+        (fun w -> List.filter_map (fun v -> if v < u then Some ids.(v) else None) (Graph.neighbours g w))
+        (Graph.neighbours g u)
+    in
+    let free = List.filter (fun i -> not (List.mem i taken)) (List.init 4 Bitstring.of_int) in
+    ids.(u) <-
+      (match free with
+      | [] -> Bitstring.of_int (4 + u)
+      | _ -> List.nth free (Random.State.int rng (List.length free)))
+  done;
+  ids
+
+(* the staged verdict of each hood centre against a fresh run on its
+   hood, over [draws] random certificate lists *)
+let staged_matches_run rng algo g ~ids ~draws =
+  let radius = max 1 (Option.get (Local_algo.radius algo)) in
+  List.for_all
+    (fun u ->
+      let sub, sub_ids, _, centre = hood_of g ~ids ~radius ~certs:[] u in
+      let staged = Runner.stage (Runner.prepare algo sub ~ids:sub_ids) ~node:centre in
+      List.for_all
+        (fun _ ->
+          let cert_list =
+            Array.init (Graph.card sub) (fun _ ->
+                List.nth view_alphabet (Random.State.int rng (List.length view_alphabet)))
+          in
+          typed (fun () -> staged ~cert_list)
+          = typed (fun () -> Runner.verdict (Runner.run algo sub ~ids:sub_ids ~cert_list ()) centre))
+        (List.init draws Fun.id))
+    (Graph.nodes g)
+
+let staged_view_suite =
+  ( "engine:staged-view",
+    [
+      qcheck ~count:40 "staged centre verdicts equal fresh hood runs"
+        QCheck.(pair (arb_graph ~max_nodes:8 ~label_bits:2 ()) small_nat)
+        (fun (g, seed) ->
+          let rng = Random.State.make [| seed |] in
+          List.for_all
+            (fun wire ->
+              with_mode wire (fun () ->
+                  List.for_all
+                    (fun ids ->
+                      List.for_all (fun algo -> staged_matches_run rng algo g ~ids ~draws:3) view_algos)
+                    [ global_ids g; colliding_ids rng g ]))
+            [ Codec.Packed; Codec.Bits ]);
+      quick "identifiers colliding at distance 2 from the centre" (fun () ->
+          (* C8 around node 0 at radius 2: nodes 2 and 6 share an
+             identifier, so the centre's ball keeps the entry relayed
+             by whichever of nodes 1 and 7 has the smaller identifier.
+             Both relay orders are covered: filling by identifier
+             instead of by origin picks the wrong node in one of them *)
+          let g = Generators.cycle 8 in
+          let rng = Random.State.make [| 8 |] in
+          List.iter
+            (fun ((dst, src), swap) ->
+              let ids = global_ids g in
+              ids.(dst) <- ids.(src);
+              if swap then begin
+                let i1 = ids.(1) in
+                ids.(1) <- ids.(7);
+                ids.(7) <- i1
+              end;
+              List.iter
+                (fun wire ->
+                  with_mode wire (fun () ->
+                      List.iter
+                        (fun algo ->
+                          check_bool (Local_algo.name algo) true
+                            (staged_matches_run rng algo g ~ids ~draws:40))
+                        [ hashing_verifier ~radius:2 ~levels:1; hashing_verifier ~radius:2 ~levels:2 ]))
+                [ Codec.Packed; Codec.Bits ])
+            [ ((6, 2), false); ((6, 2), true); ((2, 6), false); ((2, 6), true) ]);
+      quick "staged checker verdicts equal fresh runs under colliding identifiers" (fun () ->
+          let rng = Random.State.make [| 3 |] in
+          List.iter
+            (fun g ->
+              let ids = colliding_ids rng g in
+              List.iter
+                (fun algo ->
+                  let a = Arbiter.of_local_algo ~id_radius:1 algo in
+                  let check = Option.get (Arbiter.ball_checker a g ~ids) in
+                  let radius = max 1 (Option.get (Local_algo.radius algo)) in
+                  for _ = 1 to 5 do
+                    let certs =
+                      random_certs rng ~alphabet:view_alphabet ~levels:(Local_algo.levels algo)
+                        (Graph.card g)
+                    in
+                    List.iter
+                      (fun u ->
+                        check_bool (Local_algo.name algo) true
+                          (typed (fun () -> check u ~certs)
+                          = typed (fun () -> fresh_run_verdict algo g ~ids ~radius ~certs u)))
+                      (Graph.nodes g)
+                  done)
+                (List.filter (fun a -> Local_algo.levels a > 0) view_algos))
+            [ Generators.cycle 9; Generators.grid ~rows:3 ~cols:3 (); Generators.path 6 ]);
+      quick "a malformed certificate is rejected, not raised on" (fun () ->
+          (* a non-bit or over-long colour at node 0 of a properly
+             2-coloured C6: node 0 and both its neighbours reject *)
+          let g = Generators.cycle 6 in
+          let ids = global_ids g in
+          let algo = Candidates.color_verifier 3 in
+          let a = Arbiter.of_local_algo ~id_radius:2 algo in
+          let expected = [ false; false; true; true; true; false ] in
+          List.iter
+            (fun wire ->
+              with_mode wire (fun () ->
+                  let check = Option.get (Arbiter.ball_checker a g ~ids) in
+                  List.iter
+                    (fun bad ->
+                      let cert_list = Array.init 6 (fun u -> if u = 0 then bad else string_of_int (u mod 2)) in
+                      (match Runner.run_outcome algo g ~ids ~cert_list () with
+                      | Runner.Completed r ->
+                          check_bool bad true
+                            (List.map (fun u -> Runner.verdict r u = "1") (Graph.nodes g) = expected)
+                      | _ -> Alcotest.fail "a plan-free run must complete");
+                      check_bool bad true
+                        (List.map (fun u -> check u ~certs:[ cert_list ]) (Graph.nodes g) = expected))
+                    [ "x"; "2"; "1x0"; "x#0"; "1" ^ String.make 70 '0' ]))
+            [ Codec.Packed; Codec.Bits ]);
+      quick "corrupted bit-wire certificates never escape untyped" (fun () ->
+          (* the scenarios of the fuzz runner campaign's all@0.3:1 cell
+             under the bit wire (seed 3000033 used to escape): corrupted
+             flooding messages decode to entries whose certificates
+             carry non-bit characters *)
+          with_mode Codec.Bits (fun () ->
+              for seed = 3_000_003 to 3_000_003 + 119 do
+                let rng = Random.State.make [| seed |] in
+                let g =
+                  Generators.random_connected ~rng
+                    ~n:(2 + Random.State.int rng 6)
+                    ~extra_edges:(Random.State.int rng 3) ~label_bits:1 ()
+                in
+                let cert_list = Array.init (Graph.card g) (fun u -> Bitstring.of_int (u mod 3)) in
+                let plan = Fault_plan.make ~rate:0.3 ~kinds:Fault_plan.all_kinds seed in
+                match
+                  Runner.run_outcome ~round_limit:100 ~faults:plan (Candidates.color_verifier 3) g
+                    ~ids:(global_ids g) ~cert_list ()
+                with
+                | Runner.Completed _ | Runner.Degraded _ | Runner.Faulted _ -> ()
+                | exception e -> Alcotest.failf "seed %d: %s" seed (Printexc.to_string e)
+              done));
+    ] )
+
+(* ------------------------------------------------------------------ *)
 (* The compile budget check must saturate, not wrap: a ball with 62 or
    more binary slots overflows a 63-bit product. *)
 
@@ -853,5 +1037,6 @@ let suites =
     combinat_suite;
     runner_suite;
     staged_suite;
+    staged_view_suite;
     budget_overflow_suite;
   ]

@@ -118,6 +118,7 @@ let runner_tests =
                     (st, [], true)
                   end);
               output = (fun (_, got) -> !got);
+              view = None;
             }
         in
         let g = Generators.star 3 in
@@ -138,6 +139,7 @@ let runner_tests =
               init = (fun _ -> ());
               round = (fun _ _ () ~inbox:_ -> ((), [], false));
               output = (fun () -> "1");
+              view = None;
             }
         in
         let g = Graph.singleton "" in
@@ -163,6 +165,7 @@ let runner_tests =
                     List.init (ctx.Local_algo.degree + 1) (fun _ -> Local_algo.raw_msg "1"),
                     true ));
               output = (fun () -> "1");
+              view = None;
             }
         in
         let g = Generators.cycle 3 in
